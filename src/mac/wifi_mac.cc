@@ -204,7 +204,7 @@ void WifiMac::transmit_data(RadioId peer_id) {
   // Rate selection (fresh CSI if the controller is ESNR-driven).
   phy::Mcs mcs = phy::Mcs::kMcs0;
   if (p.rc) {
-    if (sampler_) {
+    if (sampler_ && p.rc->uses_csi()) {
       const channel::CsiMeasurement csi = sampler_(peer_id);
       p.rc->observe_csi(csi.subcarrier_snr_db);
     }

@@ -77,15 +77,25 @@ void Histogram::observe(double x) {
     atomic_min(min_, x);
     atomic_max(max_, x);
   }
-  if (x < lo_) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-  } else if (x >= hi_) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    const auto idx = std::min(
-        buckets_.size() - 1, static_cast<std::size_t>((x - lo_) / width_));
-    buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  }
+  slot(x).fetch_add(1, std::memory_order_relaxed);
+}
+
+void Histogram::observe_single_writer(double x) {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  const std::uint64_t before = count_.load(kRelaxed);
+  count_.store(before + 1, kRelaxed);
+  sum_.store(sum_.load(kRelaxed) + x, kRelaxed);
+  if (before == 0 || x < min_.load(kRelaxed)) min_.store(x, kRelaxed);
+  if (before == 0 || x > max_.load(kRelaxed)) max_.store(x, kRelaxed);
+  std::atomic<std::uint64_t>& s = slot(x);
+  s.store(s.load(kRelaxed) + 1, kRelaxed);
+}
+
+std::atomic<std::uint64_t>& Histogram::slot(double x) {
+  if (x < lo_) return underflow_;
+  if (x >= hi_) return overflow_;
+  return buckets_[std::min(buckets_.size() - 1,
+                           static_cast<std::size_t>((x - lo_) / width_))];
 }
 
 double Histogram::min() const {

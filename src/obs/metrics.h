@@ -62,6 +62,12 @@ class Histogram {
 
   void observe(double x);
 
+  /// observe() for a histogram that one thread at a time writes, such as
+  /// the event profiler's: the same update from plain atomic loads and
+  /// stores, without the locked read-modify-writes. Concurrent writers
+  /// would lose samples.
+  void observe_single_writer(double x);
+
   [[nodiscard]] std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
   }
@@ -99,6 +105,9 @@ class Histogram {
   void merge_from(const Histogram& other);
 
  private:
+  /// The underflow, overflow or bucket counter that `x` falls in.
+  std::atomic<std::uint64_t>& slot(double x);
+
   double lo_;
   double hi_;
   double width_;

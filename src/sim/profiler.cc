@@ -29,7 +29,7 @@ void EventProfiler::record(EventCategory cat, std::uint64_t ns) {
   const auto i = static_cast<std::size_t>(cat);
   ++cells_[i].events;
   cells_[i].ns += ns;
-  hist_[i].observe(static_cast<double>(ns) / 1e3);
+  hist_[i].observe_single_writer(static_cast<double>(ns) / 1e3);
 }
 
 std::uint64_t EventProfiler::events(EventCategory cat) const {

@@ -222,6 +222,32 @@ TEST(FlightRecorderTest, ExactCapacityBoundaries) {
   EXPECT_EQ(one.at(0), 12);
 }
 
+TEST(HistogramTest, SingleWriterObserveMatchesObserveExactly) {
+  // -2 .. 12 reaches under- and overflow as well as every bucket; 3 .. 5
+  // keeps both extrema away from the zero the histogram starts with.
+  for (const auto [from, to] : {std::pair{-2.0, 12.0}, std::pair{3.0, 5.0}}) {
+    Histogram shared(0.0, 10.0, 10);
+    Histogram single(0.0, 10.0, 10);
+    std::uint64_t state = 5;
+    for (int i = 0; i < 1000; ++i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const double x =
+          from + static_cast<double>(state >> 11) * 0x1.0p-53 * (to - from);
+      shared.observe(x);
+      single.observe_single_writer(x);
+    }
+    EXPECT_EQ(single.count(), shared.count());
+    EXPECT_EQ(single.sum(), shared.sum());
+    EXPECT_EQ(single.min(), shared.min());
+    EXPECT_EQ(single.max(), shared.max());
+    EXPECT_EQ(single.underflow(), shared.underflow());
+    EXPECT_EQ(single.overflow(), shared.overflow());
+    for (std::size_t b = 0; b < shared.num_buckets(); ++b) {
+      EXPECT_EQ(single.bucket_count(b), shared.bucket_count(b)) << "bucket " << b;
+    }
+  }
+}
+
 TEST(HistogramMergeTest, EmptySourceIsANoOp) {
   Histogram dst(0.0, 10.0, 10);
   dst.observe(2.0);

@@ -2,6 +2,11 @@
 // probability, airtime accounting, and rate control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "phy/airtime.h"
@@ -14,8 +19,39 @@
 namespace wgtt::phy {
 namespace {
 
+constexpr std::array kModulations{Modulation::kBpsk, Modulation::kQpsk,
+                                  Modulation::kQam16, Modulation::kQam64};
+
 std::vector<double> flat_csi(double snr_db) {
   return std::vector<double>(static_cast<std::size_t>(kNumSubcarriers), snr_db);
+}
+
+/// Reference inverse of bit_error_rate: 48 bisection steps on log-SNR over
+/// -30 .. +60 dB, clamped at both ends. snr_for_ber must agree with it.
+double bisection_snr_for_ber(Modulation m, double ber) {
+  const double target = std::min(ber, 0.5);
+  double lo = 1e-3;
+  double hi = 1e6;
+  if (bit_error_rate(m, lo) <= target) return lo;
+  if (bit_error_rate(m, hi) >= target) return hi;
+  for (int it = 0; it < 48; ++it) {
+    const double mid = std::sqrt(lo * hi);
+    if (bit_error_rate(m, mid) > target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::sqrt(lo * hi);
+}
+
+/// Expected goodput (Mbit/s) of `mcs` on `csi`: one ESNR per MCS, the
+/// quantity the ESNR rate selector maximizes.
+double goodput_mbps(std::span<const double> csi, Mcs mcs) {
+  const McsInfo& info = mcs_info(mcs);
+  return info.data_rate_mbps *
+         mpdu_delivery_probability(effective_snr_db(csi, info.modulation), mcs,
+                                   1500);
 }
 
 TEST(McsTest, TableShape) {
@@ -82,6 +118,61 @@ TEST(SnrForBerTest, InverseOfBer) {
     }
   }
   EXPECT_THROW(snr_for_ber(Modulation::kBpsk, 0.0), std::invalid_argument);
+}
+
+TEST(SnrForBerTest, RejectsNonPositiveAndNan) {
+  for (const Modulation m : kModulations) {
+    EXPECT_THROW((void)snr_for_ber(m, -1e-9), std::invalid_argument);
+    EXPECT_THROW(
+        (void)snr_for_ber(m, std::numeric_limits<double>::quiet_NaN()),
+        std::invalid_argument);
+  }
+}
+
+TEST(SnrForBerTest, ClosedFormMatchesBisectionOracle) {
+  // 10k log-spaced targets from the smallest subnormal up to 0.5.
+  constexpr int kSteps = 10'000;
+  const double dm = std::numeric_limits<double>::denorm_min();
+  const double log_lo = std::log(dm);
+  const double log_hi = std::log(0.5);
+  for (const Modulation m : kModulations) {
+    int clamped = 0;
+    double worst_normal = 0.0;
+    double residual[2][2] = {};  // [subnormal target][0 = closed, 1 = oracle]
+    for (int i = 0; i <= kSteps; ++i) {
+      double target = std::exp(log_lo + (log_hi - log_lo) * i / kSteps);
+      if (i == 0) target = dm;
+      if (i == kSteps) target = 0.5;
+      const double want = bisection_snr_for_ber(m, target);
+      const double got = snr_for_ber(m, target);
+      ASSERT_TRUE(std::isfinite(got)) << "target " << target;
+      if (want == 1e-3 || want == 1e6) {
+        ++clamped;
+        EXPECT_EQ(got, want) << "target " << target;
+        continue;
+      }
+      // Below DBL_MIN, bit_error_rate only returns multiples of denorm_min,
+      // so the oracle stops on the edge of a step of relative height
+      // dm / target. There |d ln(BER) / d ln(g)| exceeds 700, so allow two
+      // steps on top of the 1e-12 bound that holds for every normal target.
+      const double tolerance = 1e-12 + 2.0 * (dm / target) / 700.0;
+      const double diff = std::abs(got / want - 1.0);
+      EXPECT_LE(diff, tolerance) << "target " << target;
+      const int subnormal = target < std::numeric_limits<double>::min() ? 1 : 0;
+      if (subnormal == 0) worst_normal = std::max(worst_normal, diff);
+      for (const int k : {0, 1}) {
+        const double g = k == 0 ? got : want;
+        residual[subnormal][k] = std::max(
+            residual[subnormal][k], std::abs(bit_error_rate(m, g) / target - 1.0));
+      }
+    }
+    EXPECT_GT(clamped, 0);
+    EXPECT_LE(worst_normal, 1e-12);
+    // The closed form inverts bit_error_rate at least as tightly as the
+    // oracle, over normal and over subnormal targets.
+    EXPECT_LE(residual[0][0], residual[0][1]) << to_string(m);
+    EXPECT_LE(residual[1][0], residual[1][1]) << to_string(m);
+  }
 }
 
 TEST(EsnrTest, FlatChannelEsnrEqualsSnr) {
@@ -152,15 +243,19 @@ TEST(DeliveryProbabilityTest, LongerFramesFailMore) {
 }
 
 TEST(DeliveryProbabilityTest, HighSnrNearCertain) {
-  EXPECT_GT(mpdu_delivery_probability(flat_csi(35.0), Mcs::kMcs7, 1500), 0.95);
-  EXPECT_LT(mpdu_delivery_probability(flat_csi(0.0), Mcs::kMcs7, 1500), 0.01);
+  const auto p = [](double snr_db) {
+    return mpdu_delivery_probability(
+        effective_snr_db(flat_csi(snr_db), Modulation::kQam64), Mcs::kMcs7,
+        1500);
+  };
+  EXPECT_GT(p(35.0), 0.95);
+  EXPECT_LT(p(0.0), 0.01);
 }
 
 TEST(ExpectedGoodputTest, PrefersRobustRateAtLowSnr) {
   // At 8 dB, MCS7's goodput collapses while MCS1's survives.
   const auto csi = flat_csi(8.0);
-  EXPECT_GT(expected_goodput_mbps(csi, Mcs::kMcs1, 1500),
-            expected_goodput_mbps(csi, Mcs::kMcs7, 1500));
+  EXPECT_GT(goodput_mbps(csi, Mcs::kMcs1), goodput_mbps(csi, Mcs::kMcs7));
 }
 
 TEST(AirtimeTest, PayloadRoundsToSymbols) {
@@ -249,6 +344,42 @@ TEST(EsnrSelectorTest, RetreatsAfterSustainedFailure) {
   const Mcs initial = rc.select();
   for (int i = 0; i < 10; ++i) rc.report(rc.select(), 10, 0);
   EXPECT_LT(static_cast<int>(rc.select()), static_cast<int>(initial));
+}
+
+TEST(EsnrSelectorTest, PicksFirstGoodputArgmaxBitwise) {
+  // Random CSI around a random level with random frequency selectivity,
+  // limited to -10 .. 45 dB. After observe_csi the selector must pick
+  // exactly the first argmax of the per-MCS goodput loop.
+  Rng rng{2024};
+  for (const double margin : {0.0, 2.5}) {
+    EsnrRateSelector rc(1500, margin);
+    std::array<int, kNumMcs> picks{};
+    std::vector<double> csi(static_cast<std::size_t>(kNumSubcarriers));
+    std::vector<double> derated(csi.size());
+    for (int trial = 0; trial < 10'000; ++trial) {
+      const double level = rng.uniform(-10.0, 45.0);
+      const double spread = rng.uniform(0.0, 12.0);
+      for (std::size_t i = 0; i < csi.size(); ++i) {
+        csi[i] = std::clamp(rng.normal(level, spread), -10.0, 45.0);
+        derated[i] = csi[i] - margin;
+      }
+      rc.observe_csi(csi);
+      double best_goodput = -1.0;
+      Mcs best = Mcs::kMcs0;
+      for (const auto& info : all_mcs()) {
+        const double g = goodput_mbps(derated, info.index);
+        if (g > best_goodput) {
+          best_goodput = g;
+          best = info.index;
+        }
+      }
+      ASSERT_EQ(rc.select(), best) << "margin " << margin << " trial " << trial;
+      ++picks[static_cast<std::size_t>(best)];
+    }
+    for (int mcs = 0; mcs < kNumMcs; ++mcs) {
+      EXPECT_GT(picks[static_cast<std::size_t>(mcs)], 0) << "MCS " << mcs;
+    }
+  }
 }
 
 // Parameterized property: for every MCS, delivery probability at its
