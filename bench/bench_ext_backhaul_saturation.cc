@@ -14,8 +14,8 @@
 //
 // --smoke runs one infinite and one saturated point through a 2-worker
 // TrialPool (registered as the bench-smoke-backhaul ctest target; under the
-// asan-net preset this is the sanitizer pass over the refcounted fan-out,
-// the link serializer and the batch machinery end to end).
+// asan preset this is the sanitizer pass over the refcounted fan-out, the
+// link serializer and the batch machinery end to end).
 #include <cstdio>
 #include <map>
 #include <string>

@@ -3,13 +3,10 @@
 // itself).
 //
 // Sections:
-//   1. streaming median vs the seed's sort-per-sample recomputation, on a
-//      synthetic CSI stream shaped like a drive-by (10 ms window, sample
-//      every 100 us);
+//   1. streaming median maintenance on a synthetic CSI stream shaped like a
+//      drive-by (10 ms window, sample every 100 us);
 //   2. scheduler churn: a schedule/cancel/fire mix mirroring Timer usage
-//      (RTO and switch-ack restarts), on the inline-callback d-ary-heap
-//      engine vs the seed's priority_queue + std::function + tombstone-set
-//      engine (reproduced verbatim below);
+//      (RTO and switch-ack restarts) on the inline-callback d-ary heap;
 //   3. CSI measure(): LinkChannel::measure ns/op, with a global allocation
 //      counter asserting the fixed-size path performs ZERO steady-state
 //      heap allocations (the bench fails otherwise);
@@ -38,12 +35,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <new>
-#include <queue>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -58,7 +52,6 @@
 #include "sim/profiler.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 // --- global allocation counter (section 3's zero-allocation assertion) -------
 namespace {
@@ -96,80 +89,12 @@ double synth_esnr(std::uint64_t& state) {
   return 10.0 + static_cast<double>((state >> 33) % 2500) / 100.0;  // 10-35 dB
 }
 
-// The seed event engine, reproduced verbatim as the churn baseline:
-// std::priority_queue of owning entries (std::function copied off top() on
-// every pop) and an unordered_set tombstone per cancel.
-class LegacyScheduler {
- public:
-  using Id = std::uint64_t;
-
-  [[nodiscard]] Time now() const { return now_; }
-
-  Id schedule_at(Time when, std::function<void()> fn) {
-    if (when < now_) when = now_;
-    const std::uint64_t seq = next_seq_++;
-    heap_.push(Entry{when, seq, std::move(fn)});
-    return seq;
-  }
-
-  void cancel(Id id) { cancelled_.insert(id); }
-
-  bool step() {
-    while (!heap_.empty()) {
-      Entry e = heap_.top();
-      heap_.pop();
-      if (auto it = cancelled_.find(e.seq); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      now_ = e.when;
-      e.fn();
-      return true;
-    }
-    return false;
-  }
-
-  void run_until(Time limit) {
-    while (!heap_.empty()) {
-      const Entry& top = heap_.top();
-      if (cancelled_.contains(top.seq)) {
-        cancelled_.erase(top.seq);
-        heap_.pop();
-        continue;
-      }
-      if (top.when > limit) break;
-      step();
-    }
-    if (now_ < limit) now_ = limit;
-  }
-
- private:
-  struct Entry {
-    Time when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  Time now_ = Time::zero();
-  std::uint64_t next_seq_ = 1;
-};
-
 /// Timer-shaped churn: a bank of restartable timeouts; most get restarted
 /// before firing (the 30 ms switch-ack and TCP RTO pattern), the rest fire
-/// when the clock is pumped. Identical op sequence for both engines, so the
-/// fire order (and the checksum) must match — a free cross-check of the
-/// (when, seq) FIFO contract.
-template <typename Sched, typename Id>
-std::uint64_t churn_workload(Sched& s, int ops, std::uint64_t* checksum) {
+/// when the clock is pumped. Returns the number of events fired.
+std::uint64_t churn_workload(sim::Scheduler& s, int ops) {
   constexpr int kTimers = 256;
-  std::vector<Id> pending(kTimers, Id{});
+  std::vector<sim::EventId> pending(kTimers, sim::EventId{});
   std::vector<char> armed(kTimers, 0);
   std::uint64_t fired = 0;
   std::uint64_t state = 9;
@@ -180,10 +105,9 @@ std::uint64_t churn_workload(Sched& s, int ops, std::uint64_t* checksum) {
     armed[static_cast<std::size_t>(k)] = 1;
     const Time delay = Time::us(static_cast<std::int64_t>(30 + ((state >> 40) % 1000)));
     pending[static_cast<std::size_t>(k)] =
-        s.schedule_at(s.now() + delay, [&armed, &fired, checksum, k] {
+        s.schedule_at(s.now() + delay, [&armed, &fired, k] {
           armed[static_cast<std::size_t>(k)] = 0;
           ++fired;
-          *checksum = *checksum * 31 + static_cast<std::uint64_t>(k);
         });
     if ((i & 7) == 0) s.run_until(s.now() + Time::us(120));
   }
@@ -208,84 +132,30 @@ int main(int argc, char** argv) {
     std::uint64_t state = 7;
     core::StreamingMedian sm(window);
     double sink = 0.0;
-    auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     Time now = Time::zero();
     for (int i = 0; i < samples; ++i, now += step) {
       sm.add(now, synth_esnr(state));
       sink += sm.lower_median(now).value_or(0.0);
     }
-    const double stream_s = seconds_since(t0);
-
-    // The seed's approach: keep the window in a deque, copy + nth_element
-    // on every query.
-    state = 7;
-    std::deque<std::pair<Time, double>> win;
-    double sink2 = 0.0;
-    t0 = std::chrono::steady_clock::now();
-    now = Time::zero();
-    for (int i = 0; i < samples; ++i, now += step) {
-      win.emplace_back(now, synth_esnr(state));
-      while (!win.empty() && win.front().first <= now - window) win.pop_front();
-      std::vector<double> xs;
-      xs.reserve(win.size());
-      for (const auto& [w, v] : win) xs.push_back(v);
-      sink2 += lower_median(xs);
-    }
-    const double sort_s = seconds_since(t0);
-
-    if (sink != sink2) {
-      std::printf("median MISMATCH: streaming %.6f vs sort %.6f\n", sink, sink2);
-      return 1;
-    }
-    const double stream_mps = samples / stream_s / 1e6;
-    const double sort_mps = samples / sort_s / 1e6;
-    std::printf("median maintenance (window %.0f ms, %d samples)\n",
-                window.to_millis(), samples);
-    std::printf("  streaming dual-heap  %8.2f Msamples/s\n", stream_mps);
-    std::printf("  sort-per-sample      %8.2f Msamples/s  (%.1fx slower)\n\n",
-                sort_mps, stream_mps / sort_mps);
+    const double stream_mps = samples / seconds_since(t0) / 1e6;
+    std::printf("median maintenance (window %.0f ms, %d samples, sink %.1f)\n",
+                window.to_millis(), samples, sink);
+    std::printf("  streaming dual-heap  %8.2f Msamples/s\n\n", stream_mps);
     counters["median_stream_msps"] = stream_mps;
-    counters["median_sort_msps"] = sort_mps;
-    counters["median_speedup"] = stream_mps / sort_mps;
   }
 
-  // --- 2. scheduler churn: inline-callback d-ary heap vs seed engine ----------
+  // --- 2. scheduler churn ------------------------------------------------------
   {
     const int ops = samples;
-    std::uint64_t checksum_new = 7;
-    std::uint64_t checksum_legacy = 7;
-
-    sim::Scheduler fresh;
-    auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t fired_new =
-        churn_workload<sim::Scheduler, sim::EventId>(fresh, ops, &checksum_new);
-    const double new_s = seconds_since(t0);
-
-    LegacyScheduler legacy;
-    t0 = std::chrono::steady_clock::now();
-    const std::uint64_t fired_legacy =
-        churn_workload<LegacyScheduler, LegacyScheduler::Id>(legacy, ops,
-                                                             &checksum_legacy);
-    const double legacy_s = seconds_since(t0);
-
-    if (fired_new != fired_legacy || checksum_new != checksum_legacy) {
-      std::printf("scheduler churn MISMATCH: new %llu/%llx vs legacy %llu/%llx\n",
-                  static_cast<unsigned long long>(fired_new),
-                  static_cast<unsigned long long>(checksum_new),
-                  static_cast<unsigned long long>(fired_legacy),
-                  static_cast<unsigned long long>(checksum_legacy));
-      return 1;
-    }
-    const double new_mops = ops / new_s / 1e6;
-    const double legacy_mops = ops / legacy_s / 1e6;
-    std::printf("scheduler churn (%d schedule/cancel ops, %llu fired, FIFO order cross-checked)\n",
-                ops, static_cast<unsigned long long>(fired_new));
-    std::printf("  inline-callback 4-ary heap  %8.2f Mops/s\n", new_mops);
-    std::printf("  seed engine (pq+function)   %8.2f Mops/s  (%.1fx slower)\n\n",
-                legacy_mops, new_mops / legacy_mops);
-    counters["sched_churn_mops"] = new_mops;
-    counters["sched_churn_legacy_mops"] = legacy_mops;
-    counters["sched_churn_speedup"] = new_mops / legacy_mops;
+    sim::Scheduler sched;
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t fired = churn_workload(sched, ops);
+    const double mops = ops / seconds_since(t0) / 1e6;
+    std::printf("scheduler churn (%d schedule/cancel ops, %llu fired)\n", ops,
+                static_cast<unsigned long long>(fired));
+    std::printf("  inline-callback 4-ary heap  %8.2f Mops/s\n\n", mops);
+    counters["sched_churn_mops"] = mops;
   }
 
   // --- 3. CSI measure(): ns/op and the zero-allocation assertion --------------

@@ -1,180 +1,96 @@
-// Parallel-engine performance: strong-scaling sweep of one city-scale run
-// over worker counts, plus the batched SIMD-friendly channel kernel
-// (DESIGN.md §11). Three jobs:
-//
-//   1. Strong scaling: the SAME 256-AP parallel city (16 RF-isolated
-//      corridors, domain graph fixed by the scenario) executed with 1, 2,
-//      4 and 8 workers. Reported per point: events/sec and speedup vs one
-//      worker. The sweep hard-fails if any worker count changes the merged
-//      wgtt.metrics.v1 snapshot by a single byte, if a lookahead violation
-//      is counted, or if a switching-protocol invariant breaks — the knob
-//      must buy wall-clock time and nothing else. (Speedup is only
-//      meaningful on a multi-core host; on a single-core CI box the lockstep
-//      barriers make extra workers pure overhead, so the gate is correctness,
-//      not a speedup floor.)
-//
-//   2. csi_batch(): the SoA channel kernel vs per-call csi() on the same
-//      drive-shaped sample stream, with bit-equality enforced sample by
-//      sample before any timing is believed.
+// Parallel-engine performance (DESIGN.md §11): strong scaling of one
+// city-scale run over worker counts. The SAME 256-AP parallel city (16
+// RF-isolated corridors, domain graph fixed by the scenario) is executed
+// with 1, 2, 4 and 8 workers. Reported per point: events/sec and speedup vs
+// one worker. The sweep hard-fails if any worker count changes the merged
+// wgtt.metrics.v1 snapshot by a single byte, if a lookahead violation is
+// counted, or if a switching-protocol invariant breaks — the knob must buy
+// wall-clock time and nothing else. (Speedup is only meaningful on a
+// multi-core host; on a single-core CI box the lockstep barriers make extra
+// workers pure overhead, so the gate is correctness, not a speedup floor.)
 //
 // The shared reporter stamps an `ndebug` counter into the JSON, so
 // BENCH_parallel.json records whether the numbers came from an optimized
 // build (docs/BENCHMARKS.md notes the build type per file).
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "bench/harness.h"
 #include "bench/report.h"
-#include "channel/fading.h"
 #include "scenario/parallel_city.h"
-#include "util/rng.h"
-#include "util/units.h"
-
-namespace {
 
 using namespace wgtt;
-using benchx::BenchOptions;
-using benchx::parse_bench_options;
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = parse_bench_options(&argc, argv);
+  const benchx::BenchOptions opts = benchx::parse_bench_options(&argc, argv);
   std::map<std::string, double> counters;
 
-  std::printf("=== Parallel engine: strong scaling and the batched channel kernel ===\n\n");
+  std::printf("=== Parallel engine: strong scaling ===\n\n");
 
-  // --- 1. strong scaling over worker counts ---------------------------------
-  {
-    scenario::ParallelCityConfig cfg;
-    if (opts.smoke) {
-      cfg.corridors = 4;
-      cfg.aps_per_corridor = 4;
-      cfg.clients_per_corridor = 1;
-      cfg.drive_span_m = 10.0;
-    } else {
-      // The 256-AP city: 16 corridors x 16 APs, one driving client each.
-      cfg.corridors = 16;
-      cfg.aps_per_corridor = 16;
-      cfg.clients_per_corridor = 1;
-      cfg.drive_span_m = 20.0;
-    }
-    cfg.udp_rate_mbps = 4.0;
-    cfg.seed = 5;
-    cfg.collect_metrics = true;  // merged snapshot = the identity oracle
-
-    std::printf("strong scaling (%d corridors x %d APs = %d APs, %d clients, %.0f m drive)\n",
-                cfg.corridors, cfg.aps_per_corridor,
-                cfg.corridors * cfg.aps_per_corridor, cfg.corridors * cfg.clients_per_corridor,
-                cfg.drive_span_m);
-
-    std::string ref_json;
-    double eps1 = 0.0;
-    for (const int workers : {1, 2, 4, 8}) {
-      cfg.workers = workers;
-      const scenario::ParallelCityResult r = scenario::run_parallel_city(cfg);
-      if (r.lookahead_violations != 0) {
-        std::printf("  FAIL: %llu lookahead violations at %d workers\n",
-                    static_cast<unsigned long long>(r.lookahead_violations),
-                    workers);
-        return 1;
-      }
-      if (r.invariant_violations != 0) {
-        std::printf("  FAIL: %zu invariant violations at %d workers\n",
-                    r.invariant_violations, workers);
-        return 1;
-      }
-      const std::string json = r.metrics->to_json();
-      if (workers == 1) {
-        ref_json = json;
-        eps1 = r.events_per_sec;
-      } else if (json != ref_json) {
-        std::printf("  FAIL: metrics snapshot at %d workers differs from 1 worker\n",
-                    workers);
-        return 1;
-      }
-      const double speedup = eps1 > 0.0 ? r.events_per_sec / eps1 : 0.0;
-      std::printf("  %d workers (%d used): %8.0f k events/s  %5.2fx vs 1, "
-                  "%llu rounds, %llu msgs, %.1f Mbps mean\n",
-                  workers, r.workers_used, r.events_per_sec / 1e3, speedup,
-                  static_cast<unsigned long long>(r.rounds),
-                  static_cast<unsigned long long>(r.messages), r.mean_mbps);
-      counters["parallel_eps_w" + std::to_string(workers)] = r.events_per_sec;
-      counters["parallel_speedup_w" + std::to_string(workers)] = speedup;
-      if (workers == 1) {
-        counters["parallel_rounds"] = static_cast<double>(r.rounds);
-        counters["parallel_messages"] = static_cast<double>(r.messages);
-        counters["parallel_events"] = static_cast<double>(r.events_executed);
-        counters["parallel_mean_mbps"] = r.mean_mbps;
-      }
-    }
-    std::printf("  byte-identical snapshots across all worker counts: yes\n\n");
+  scenario::ParallelCityConfig cfg;
+  if (opts.smoke) {
+    cfg.corridors = 4;
+    cfg.aps_per_corridor = 4;
+    cfg.clients_per_corridor = 1;
+    cfg.drive_span_m = 10.0;
+  } else {
+    // The 256-AP city: 16 corridors x 16 APs, one driving client each.
+    cfg.corridors = 16;
+    cfg.aps_per_corridor = 16;
+    cfg.clients_per_corridor = 1;
+    cfg.drive_span_m = 20.0;
   }
+  cfg.udp_rate_mbps = 4.0;
+  cfg.seed = 5;
+  cfg.collect_metrics = true;  // merged snapshot = the identity oracle
 
-  // --- 2. batched channel kernel ---------------------------------------------
-  {
-    Rng rng(17);
-    channel::TappedDelayChannel::Config ccfg;
-    const channel::TappedDelayChannel chan(ccfg, rng);
-    const int n = opts.smoke ? 20'000 : 100'000;
+  std::printf("strong scaling (%d corridors x %d APs = %d APs, %d clients, %.0f m drive)\n",
+              cfg.corridors, cfg.aps_per_corridor,
+              cfg.corridors * cfg.aps_per_corridor, cfg.corridors * cfg.clients_per_corridor,
+              cfg.drive_span_m);
 
-    // Drive-shaped sample stream: one (AP, client) link evaluated along a
-    // drive past the AP — exactly the lazy-link sampling pattern.
-    std::vector<channel::Vec2> pos(static_cast<std::size_t>(n));
-    std::vector<Time> when(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      pos[static_cast<std::size_t>(i)] = {-40.0 + i * 0.0009, 0.3};
-      when[static_cast<std::size_t>(i)] = Time::micros(i * 120.0);
+  std::string ref_json;
+  double eps1 = 0.0;
+  for (const int workers : {1, 2, 4, 8}) {
+    cfg.workers = workers;
+    const scenario::ParallelCityResult r = scenario::run_parallel_city(cfg);
+    if (r.lookahead_violations != 0) {
+      std::printf("  FAIL: %llu lookahead violations at %d workers\n",
+                  static_cast<unsigned long long>(r.lookahead_violations),
+                  workers);
+      return 1;
     }
-    std::vector<channel::CsiSnapshot> scalar_out(static_cast<std::size_t>(n));
-    std::vector<channel::CsiSnapshot> batch_out(static_cast<std::size_t>(n));
-
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < n; ++i) {
-      scalar_out[static_cast<std::size_t>(i)] =
-          chan.csi(pos[static_cast<std::size_t>(i)],
-                   when[static_cast<std::size_t>(i)]);
+    if (r.invariant_violations != 0) {
+      std::printf("  FAIL: %zu invariant violations at %d workers\n",
+                  r.invariant_violations, workers);
+      return 1;
     }
-    const double scalar_s = seconds_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    chan.csi_batch(pos.data(), when.data(), static_cast<std::size_t>(n),
-                   batch_out.data());
-    const double batch_s = seconds_since(t0);
-
-    for (int i = 0; i < n; ++i) {
-      for (int k = 0; k < kNumSubcarriers; ++k) {
-        const auto a = scalar_out[static_cast<std::size_t>(i)]
-                           .gains[static_cast<std::size_t>(k)];
-        const auto b = batch_out[static_cast<std::size_t>(i)]
-                           .gains[static_cast<std::size_t>(k)];
-        if (a != b) {
-          std::printf("  FAIL: csi_batch diverges from csi at sample %d "
-                      "subcarrier %d\n", i, k);
-          return 1;
-        }
-      }
+    const std::string json = r.metrics->to_json();
+    if (workers == 1) {
+      ref_json = json;
+      eps1 = r.events_per_sec;
+    } else if (json != ref_json) {
+      std::printf("  FAIL: metrics snapshot at %d workers differs from 1 worker\n",
+                  workers);
+      return 1;
     }
-
-    const double scalar_ns = scalar_s / n * 1e9;
-    const double batch_ns = batch_s / n * 1e9;
-    std::printf("csi kernel (%d samples, %d taps x 56 subcarriers, bit-equality checked)\n",
-                n, chan.num_taps());
-    std::printf("  per-call csi()   %8.1f ns/snapshot\n", scalar_ns);
-    std::printf("  csi_batch()      %8.1f ns/snapshot  (%.2fx)\n\n", batch_ns,
-                scalar_ns / batch_ns);
-    counters["csi_scalar_ns"] = scalar_ns;
-    counters["csi_batch_ns"] = batch_ns;
-    counters["csi_batch_speedup"] = scalar_ns / batch_ns;
+    const double speedup = eps1 > 0.0 ? r.events_per_sec / eps1 : 0.0;
+    std::printf("  %d workers (%d used): %8.0f k events/s  %5.2fx vs 1, "
+                "%llu rounds, %llu msgs, %.1f Mbps mean\n",
+                workers, r.workers_used, r.events_per_sec / 1e3, speedup,
+                static_cast<unsigned long long>(r.rounds),
+                static_cast<unsigned long long>(r.messages), r.mean_mbps);
+    counters["parallel_eps_w" + std::to_string(workers)] = r.events_per_sec;
+    counters["parallel_speedup_w" + std::to_string(workers)] = speedup;
+    if (workers == 1) {
+      counters["parallel_rounds"] = static_cast<double>(r.rounds);
+      counters["parallel_messages"] = static_cast<double>(r.messages);
+      counters["parallel_events"] = static_cast<double>(r.events_executed);
+      counters["parallel_mean_mbps"] = r.mean_mbps;
+    }
   }
+  std::printf("  byte-identical snapshots across all worker counts: yes\n\n");
 
   benchx::report("perf/parallel", counters);
   return benchx::finish(argc, argv);

@@ -148,9 +148,9 @@ DriveResult run_drive(const DriveConfig& cfg) {
     }
     scfg.ap_faults = cfg.ap_faults;
     scfg.ap.start_from_newest = cfg.start_from_newest;
-    if (cfg.use_spatial_index) scfg.spatial.use_index = *cfg.use_spatial_index;
     scfg.controller.bounded_fallback = cfg.bounded_fallback;
     scfg.use_fanout_pool = cfg.fanout_pool;
+    scfg.channel_reuse = cfg.channel_reuse;
     if (cfg.backhaul_link_rate_mbps) {
       scfg.backhaul.link_rate_mbps = *cfg.backhaul_link_rate_mbps;
     }
@@ -378,8 +378,8 @@ DriveResult run_drive(const DriveConfig& cfg) {
       if (now < t0 || now >= t1) continue;
       const int serving = wgtt ? wgtt->serving_ap(i) : base->serving_ap(i);
       // WgttSystem::optimal_ap bounds the ground-truth argmax to the
-      // sense-range neighborhood when the spatial index is on (identical
-      // answer whenever the whole array is in range, as in the testbed).
+      // sense-range neighborhood (identical answer whenever the whole array
+      // is in range, as in the testbed).
       const int optimal = wgtt ? wgtt->optimal_ap(i, now)
                                : base->geometry().optimal_ap(i, now);
       ++probe_total[static_cast<std::size_t>(i)];
@@ -563,6 +563,10 @@ DriveResult run_drive(const DriveConfig& cfg) {
   if (tracer && !cfg.trace_csv_path.empty()) {
     std::ofstream out(cfg.trace_csv_path);
     if (out) tracer->write_csv(out);
+    if (result.metrics && !cfg.metrics_path.empty()) {
+      result.metrics->gauge("trace.events_dropped")
+          .set(static_cast<double>(tracer->dropped()));
+    }
   }
   if (wgtt && !postmortem_dir.empty() && !invariants.ok()) {
     trace::write_postmortem(postmortem_dir, *wgtt, invariants, tracer.get(),

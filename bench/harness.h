@@ -53,9 +53,10 @@ struct DriveConfig {
   /// horizon (drive_span_m / speed) so every client stays in-array for the
   /// whole run. Ignored by the other patterns.
   double drive_span_m = 90.0;
-  /// Overrides WgttSystemConfig::spatial.use_index (on by default there).
-  /// The spatial-equivalence tests force it both ways.
-  std::optional<bool> use_spatial_index;
+  /// WgttSystemConfig::channel_reuse (paper §7 multi-channel): 1 is the
+  /// paper's single-channel deployment, N > 1 puts AP i on channel
+  /// 1 + i mod N. WGTT system only.
+  int channel_reuse = 1;
   /// Controller::Config::bounded_fallback — bound the cold-start downlink
   /// fan-out to the client's spatial neighborhood instead of every AP.
   /// Off by default (byte-identity with the seed); the city bench opts in.
@@ -80,7 +81,6 @@ struct DriveConfig {
   std::optional<Time> selection_window;  // W (Figure 21)
   std::optional<Time> hysteresis;        // Figure 22
   bool ba_forwarding = true;             // ablation
-  bool uplink_dedup = true;              // ablation (counts only)
   bool start_from_newest = false;        // queue-management ablation
   core::Controller::SelectionMetric metric =
       core::Controller::SelectionMetric::kMedianEsnr;
@@ -149,7 +149,9 @@ struct DriveConfig {
   Time timeline_tick = Time::ms(100);
   /// Attach a trace::Tracer and write its retained ring here as CSV
   /// ("" = none). Attaching only chains observation hooks: no scheduler
-  /// events, no RNG draws — byte-identity is preserved.
+  /// events, no RNG draws — byte-identity is preserved. With metrics_path
+  /// also set, the snapshot gains the `trace.events_dropped` gauge (ring
+  /// evictions); nothing else in the snapshot moves.
   std::string trace_csv_path;
   /// Dump a trace::write_postmortem bundle into this directory when
   /// check_invariants reports violations at end of run. The

@@ -111,8 +111,9 @@ TappedDelayChannel::TappedDelayChannel(const Config& config, Rng& rng) {
 // rotation tables, fixed-size gains, real/imaginary accumulator lanes)
 // keeps the original operand values and accumulation order, so the output
 // is bit-identical to the seed formula — channel_test's
-// BitIdenticalToReferenceFormula and BatchMatchesScalarBitwise lock that in.
-void TappedDelayChannel::csi_into(Vec2 pos, Time t, CsiSnapshot& out) const {
+// BitIdenticalToReferenceFormula locks that in.
+CsiSnapshot TappedDelayChannel::csi(Vec2 pos, Time t) const {
+  CsiSnapshot out;
   out.when = t;
 
   // LoS term: flat across frequency (delay 0), phase tracks position.
@@ -144,17 +145,7 @@ void TappedDelayChannel::csi_into(Vec2 pos, Time t, CsiSnapshot& out) const {
     out.gains[static_cast<std::size_t>(i)] = {acc_re[i] + los_re,
                                               acc_im[i] + los_im};
   }
-}
-
-CsiSnapshot TappedDelayChannel::csi(Vec2 pos, Time t) const {
-  CsiSnapshot snap;
-  csi_into(pos, t, snap);
-  return snap;
-}
-
-void TappedDelayChannel::csi_batch(const Vec2* pos, const Time* t,
-                                   std::size_t n, CsiSnapshot* out) const {
-  for (std::size_t i = 0; i < n; ++i) csi_into(pos[i], t[i], out[i]);
+  return out;
 }
 
 std::complex<double> TappedDelayChannel::flat_gain(Vec2 pos, Time t) const {

@@ -84,23 +84,13 @@ class TappedDelayChannel {
 
   /// CSI across the 56 subcarriers at client position/time, normalized to
   /// unit average power (large-scale effects are applied by LinkChannel).
+  /// All taps × 56 subcarriers are accumulated in separate real/imaginary
+  /// lanes over the SoA rotation tables, so the complex multiply-accumulates
+  /// auto-vectorize across subcarriers without -ffast-math (DESIGN.md
+  /// §11.6); the per-tap operand values and the tap-order accumulation are
+  /// those of the seed formula, so the result is bit-identical to it
+  /// (channel_test locks this).
   [[nodiscard]] CsiSnapshot csi(Vec2 pos, Time t) const;
-
-  /// Same evaluation written into a caller-provided snapshot: the batched
-  /// SIMD-friendly kernel (DESIGN.md §11.6). All taps × 56 subcarriers are
-  /// accumulated in separate real/imaginary lanes over the SoA rotation
-  /// tables, so the complex multiply-accumulates auto-vectorize across
-  /// subcarriers without -ffast-math; the per-tap operand values and the
-  /// tap-order accumulation are unchanged, so the result is bit-identical
-  /// to csi() before the restructure (channel_test locks this).
-  void csi_into(Vec2 pos, Time t, CsiSnapshot& out) const;
-
-  /// Evaluates `n` (position, time) samples in one call — the lazy-link
-  /// sampling shape: one (AP, client) channel drawn at many points along a
-  /// drive. The rotation/component tables stay hot across iterations;
-  /// out[i] is bit-identical to csi(pos[i], t[i]).
-  void csi_batch(const Vec2* pos, const Time* t, std::size_t n,
-                 CsiSnapshot* out) const;
 
   /// Scalar (flat-fading) gain: tap sum without frequency selectivity.
   [[nodiscard]] std::complex<double> flat_gain(Vec2 pos, Time t) const;
@@ -121,7 +111,7 @@ class TappedDelayChannel {
   // Precomputed subcarrier phase factors exp(-j 2 pi f_k tau_l), flattened
   // to structure-of-arrays blocks: tap l's rotations occupy
   // [l * kNumSubcarriers, (l+1) * kNumSubcarriers) of each table. Separate
-  // re/im arrays let csi_into()'s inner loop run as four independent
+  // re/im arrays let csi()'s inner loop run as four independent
   // real-lane multiply-accumulate streams.
   std::vector<double> rot_re_;
   std::vector<double> rot_im_;

@@ -1303,24 +1303,8 @@ Controller::ApHealth Controller::ap_health(net::ApId ap) const {
 }
 
 void Controller::heartbeat_tick() {
-  // With a stagger of N (and spatial state wired), each tick probes only
-  // the APs whose road segment falls in the current round-robin group:
-  // per-tick control traffic drops N-fold, each AP is still probed — and
-  // its previous probe judged — every N ticks.
-  const int stagger =
-      (config_.heartbeat_stagger > 0 && spatial_ != nullptr &&
-       !spatial_->empty())
-          ? config_.heartbeat_stagger
-          : 0;
   for (net::ApId ap : aps_) {
     const auto idx = static_cast<std::size_t>(net::index_of(ap));
-    if (stagger > 0) {
-      const auto i = static_cast<int>(idx);
-      if (i >= spatial_->num_aps() ||
-          spatial_->segment_of_ap(i) % stagger != hb_phase_) {
-        continue;
-      }
-    }
     LivenessState& ls = liveness_[idx];
     // Judge the probe sent last tick before sending the next one.
     // (ack_since_tick starts true, so no miss accrues before first probe.)
@@ -1347,7 +1331,6 @@ void Controller::heartbeat_tick() {
     backhaul_.send(self_node(), NodeId::ap(ap),
                    net::Heartbeat{ls.hb_seq});
   }
-  if (stagger > 0) hb_phase_ = (hb_phase_ + 1) % stagger;
   heartbeat_timer_->start(config_.heartbeat_interval);
 }
 

@@ -73,13 +73,6 @@ class Controller {
     /// client (no anchor yet -> still all APs). Off by default: it changes
     /// behaviour after long silences, so only city-scale scenarios opt in.
     bool bounded_fallback = false;
-    /// When > 0 and spatial state is wired, each heartbeat tick probes only
-    /// the APs whose road segment falls in the current 1-of-N round-robin
-    /// group instead of every AP, bounding per-tick control traffic at
-    /// city scale. Each AP is still probed (and its previous probe judged)
-    /// every N ticks, so detection latency grows by the same factor.
-    /// 0 = legacy all-AP probing.
-    int heartbeat_stagger = 0;
 
     // --- AP liveness & forced failover (DESIGN.md §7) ---
     /// Master switch, off by default: heartbeats are extra backhaul traffic
@@ -103,13 +96,11 @@ class Controller {
 
     // --- Multi-controller domains (DESIGN.md §12) ---
     struct DomainConfig {
-      /// Master switch, off by default: inter-controller traffic consumes
-      /// RNG draws, so single-controller seeded runs stay byte-identical
-      /// unless a scenario opts in. With num_domains == 1 everything below
-      /// stays inert even when enabled.
-      bool enabled = false;
       /// This controller's domain id (== its NodeId::controller index).
       std::uint32_t id = 0;
+      /// Deployment-wide domain count. 1 (the default) keeps everything
+      /// below inert: inter-controller traffic consumes RNG draws, so
+      /// single-controller seeded runs stay byte-identical.
       std::uint32_t num_domains = 1;
       /// Per-message timeout of the handover state-transfer handshake; each
       /// retry doubles it (bounded retry budget, arXiv 2008.09438).
@@ -252,8 +243,8 @@ class Controller {
   /// outlive the controller). Bounds the tracker's per-client ESNR scans to
   /// `neighbor_radius_m` of the client's anchor AP, shards per-client state
   /// by road segment (so mark_dead touches only nearby clients), and
-  /// enables the bounded fan-out fallback / staggered heartbeats when those
-  /// knobs are set. Call once, after every add_ap. nullptr detaches.
+  /// enables the bounded fan-out fallback when that knob is set. Call once,
+  /// after every add_ap. nullptr detaches.
   void set_spatial(const SpatialIndex* index, double neighbor_radius_m);
 
   /// Wires the deployment-wide domain map (owned by the scenario; must
@@ -423,7 +414,7 @@ class Controller {
 
   // Multi-domain machinery (no-ops while multi_domain() is false).
   [[nodiscard]] bool multi_domain() const {
-    return config_.domains.enabled && config_.domains.num_domains > 1;
+    return config_.domains.num_domains > 1;
   }
   [[nodiscard]] net::NodeId self_node() const {
     return net::NodeId::controller(config_.domains.id);
@@ -506,7 +497,6 @@ class Controller {
   double spatial_radius_m_ = 0.0;
   std::vector<std::vector<net::ApId>> ap_neighbors_;
   std::vector<std::vector<std::uint32_t>> shard_clients_;
-  int hb_phase_ = 0;  // round-robin group for staggered heartbeats
 
   // Liveness bookkeeping, indexed by AP index. ap_evicted_ mirrors
   // (state == Dead || state == Recovering) so the hot paths test one bit.

@@ -25,36 +25,24 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
   if (!config_.ap_faults.empty()) config_.controller.liveness_enabled = true;
   // The spatial index is built before the controllers so the domain split
   // can align its cuts to road-segment boundaries. Index construction draws
-  // no RNG, so hoisting it preserves byte-identical seeded runs.
-  if (config_.spatial.use_index) {
-    std::vector<double> xs;
-    xs.reserve(static_cast<std::size_t>(config_.geometry.num_aps));
-    for (int i = 0; i < config_.geometry.num_aps; ++i) {
-      xs.push_back(geometry_.ap_position(i).x);
-    }
-    spatial_index_.build(std::move(xs), config_.spatial.cell_m);
-    spatial_radius_m_ = config_.spatial.neighbor_radius_m > 0.0
-                            ? config_.spatial.neighbor_radius_m
-                            : 2.0 * config_.medium.sense_range_m + 50.0;
+  // no RNG.
+  std::vector<double> xs;
+  xs.reserve(static_cast<std::size_t>(config_.geometry.num_aps));
+  for (int i = 0; i < config_.geometry.num_aps; ++i) {
+    xs.push_back(geometry_.ap_position(i).x);
   }
+  spatial_index_.build(std::move(xs), config_.spatial.cell_m);
+  spatial_radius_m_ = config_.spatial.neighbor_radius_m > 0.0
+                          ? config_.spatial.neighbor_radius_m
+                          : 2.0 * config_.medium.sense_range_m + 50.0;
   const int nd = std::clamp(config_.num_domains, 1,
                             std::max(1, config_.geometry.num_aps));
-  if (nd > 1) {
-    if (!spatial_index_.empty()) {
-      domain_map_.build(spatial_index_, static_cast<std::uint32_t>(nd));
-    } else {
-      domain_map_.build(static_cast<std::uint32_t>(config_.geometry.num_aps),
-                        static_cast<std::uint32_t>(nd));
-    }
-  }
+  if (nd > 1) domain_map_.build(spatial_index_, static_cast<std::uint32_t>(nd));
   if (config_.use_fanout_pool) backhaul_.set_payload_pool(&payload_pool_);
   for (int d = 0; d < nd; ++d) {
     core::Controller::Config ccfg = config_.controller;
-    if (nd > 1) {
-      ccfg.domains.enabled = true;
-      ccfg.domains.id = static_cast<std::uint32_t>(d);
-      ccfg.domains.num_domains = static_cast<std::uint32_t>(nd);
-    }
+    ccfg.domains.id = static_cast<std::uint32_t>(d);
+    ccfg.domains.num_domains = static_cast<std::uint32_t>(nd);
     auto ctrl = std::make_unique<core::Controller>(sched_, backhaul_, ccfg);
     if (nd > 1) ctrl->set_domain_map(&domain_map_);
     if (config_.use_fanout_pool) {
@@ -63,9 +51,7 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
       // the messages it loses or duplicates.
       ctrl->set_payload_pool(&payload_pool_);
     }
-    if (config_.spatial.use_index) {
-      ctrl->set_spatial(&spatial_index_, spatial_radius_m_);
-    }
+    ctrl->set_spatial(&spatial_index_, spatial_radius_m_);
     ctrl->on_ownership_changed = [this](net::ClientId c, std::uint32_t owner) {
       const std::size_t i = net::index_of(c);
       if (i < owner_of_.size()) owner_of_[i] = static_cast<int>(owner);
@@ -98,30 +84,28 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
     aps_.push_back(std::move(ap));
   }
   ap_channel_before_crash_.assign(aps_.size(), mac::Medium::kNoChannel);
-  if (config_.spatial.use_index) {
-    // Medium interest filter: only radios that could possibly be within
-    // sense range of the transmit origin get delivery events. AP radios are
-    // 0..A-1 in AP-index order and client radios follow in add_client
-    // order, so appending index-sorted APs then index-ordered clients
-    // satisfies the medium's increasing-RadioId contract.
-    medium_.set_reach_filter(
-        [this](channel::Vec2 origin, std::vector<mac::RadioId>& out) {
-          const double reach = config_.medium.sense_range_m + kReachMarginM;
-          spatial_scratch_.clear();
-          spatial_index_.neighbors(origin.x, reach, spatial_scratch_);
-          for (const int i : spatial_scratch_) {
-            out.push_back(aps_[static_cast<std::size_t>(i)]->mac().radio());
+  // Medium interest filter: only radios that could possibly be within
+  // sense range of the transmit origin get delivery events. AP radios are
+  // 0..A-1 in AP-index order and client radios follow in add_client
+  // order, so appending index-sorted APs then index-ordered clients
+  // satisfies the medium's increasing-RadioId contract.
+  medium_.set_reach_filter(
+      [this](channel::Vec2 origin, std::vector<mac::RadioId>& out) {
+        const double reach = config_.medium.sense_range_m + kReachMarginM;
+        spatial_scratch_.clear();
+        spatial_index_.neighbors(origin.x, reach, spatial_scratch_);
+        for (const int i : spatial_scratch_) {
+          out.push_back(aps_[static_cast<std::size_t>(i)]->mac().radio());
+        }
+        const Time now = sched_.now();
+        for (std::size_t c = 0; c < clients_.size(); ++c) {
+          const channel::Vec2 pos =
+              geometry_.client_position(static_cast<int>(c), now);
+          if (channel::distance(origin, pos) <= reach) {
+            out.push_back(clients_[c]->radio());
           }
-          const Time now = sched_.now();
-          for (std::size_t c = 0; c < clients_.size(); ++c) {
-            const channel::Vec2 pos =
-                geometry_.client_position(static_cast<int>(c), now);
-            if (channel::distance(origin, pos) <= reach) {
-              out.push_back(clients_[c]->radio());
-            }
-          }
-        });
-  }
+        }
+      });
   // Capture-effect power oracle: large-scale rx power of any transmitter at
   // any point, from the link-budget models.
   medium_.set_power_oracle([this](mac::RadioId tx, channel::Vec2 at) -> double {
@@ -131,25 +115,12 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
     }
     if (auto it = client_idx_of_radio_.find(tx); it != client_idx_of_radio_.end()) {
       // Reciprocal: the client's power at `at` equals an AP-at-`at`'s power
-      // at the client; use the nearest AP's link as the estimate.
+      // at the client; use the nearest AP's link as the estimate (all APs
+      // share the facade y, so the nearest along the road is nearest in 2-D).
       const channel::Vec2 cpos =
           geometry_.client_position(it->second, sched_.now());
-      // All APs share the facade y, so argmin 2D distance == argmin |dx|
-      // and the index's nearest() (ties to the lowest AP index, like this
-      // loop's strict-<) gives the identical answer in O(log A).
-      int best = spatial_index_.nearest(at.x);
-      if (best < 0) {
-        best = 0;
-        double best_d = std::numeric_limits<double>::max();
-        for (int i = 0; i < geometry_.num_aps(); ++i) {
-          const double d = channel::distance(at, geometry_.ap_position(i));
-          if (d < best_d) {
-            best_d = d;
-            best = i;
-          }
-        }
-      }
-      return geometry_.link(best, it->second).large_scale_rx_dbm(cpos);
+      return geometry_.link(spatial_index_.nearest(at.x), it->second)
+          .large_scale_rx_dbm(cpos);
     }
     return -90.0;
   });
@@ -666,24 +637,11 @@ channel::CsiMeasurement WgttSystem::fallback_csi() const {
 }
 
 int WgttSystem::nearest_ap(int client) const {
-  const channel::Vec2 pos = geometry_.client_position(client, sched_.now());
-  // Same argmin-|dx| equivalence as the power oracle: the index answer is
-  // byte-identical to the brute scan whenever it is available.
-  if (const int best = spatial_index_.nearest(pos.x); best >= 0) return best;
-  int best = 0;
-  double best_d = std::numeric_limits<double>::max();
-  for (int i = 0; i < geometry_.num_aps(); ++i) {
-    const double d = channel::distance(pos, geometry_.ap_position(i));
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  return best;
+  return spatial_index_.nearest(
+      geometry_.client_position(client, sched_.now()).x);
 }
 
 int WgttSystem::optimal_ap(int client, Time now) const {
-  if (spatial_index_.empty()) return geometry_.optimal_ap(client, now);
   const channel::Vec2 pos = geometry_.client_position(client, now);
   spatial_scratch_.clear();
   spatial_index_.neighbors(pos.x, config_.medium.sense_range_m + kReachMarginM,

@@ -96,13 +96,11 @@ struct ControllerFaultScript {
 
 /// Spatial interest management (DESIGN.md §9): a road-segment index over
 /// the AP positions that bounds every per-(client, AP) hot-path scan —
-/// medium delivery fan-out, CSI sampling, ESNR argmax, heartbeat sharding —
-/// to the O(1) neighborhood that can physically matter. The index is purely
-/// an exactness-preserving accelerator: with `use_index` on (the default),
-/// every candidate set, metric and packet is byte-identical to the brute
-/// O(APs) scans, which tests/spatial_test.cc proves seed-by-seed.
+/// medium delivery fan-out, CSI sampling, ESNR argmax, liveness sharding —
+/// to the O(1) neighborhood that can physically matter. Every candidate set
+/// it yields equals the brute O(APs) scan's (tests/spatial_test.cc checks
+/// this step by step against test-side oracles).
 struct SpatialConfig {
-  bool use_index = true;
   /// Road-segment (grid cell) width. APs are 7.5 m apart in the testbed,
   /// so 30 m buckets ~4 APs per segment.
   double cell_m = 30.0;
@@ -145,8 +143,8 @@ struct WgttSystemConfig {
   /// Controller domains (DESIGN.md §12). 1 (the default) instantiates the
   /// single legacy controller — no inter-controller traffic, no extra
   /// timers, byte-identical seeded runs. N > 1 splits the AP array into N
-  /// contiguous domains (segment-aligned when the spatial index is on) and
-  /// turns on inter-domain handover + controller-to-controller liveness.
+  /// contiguous segment-aligned domains and turns on inter-domain handover
+  /// + controller-to-controller liveness.
   int num_domains = 1;
   /// Scripted controller crashes/restarts. Ignored with num_domains == 1.
   std::vector<ControllerFaultScript> controller_faults;
@@ -218,13 +216,13 @@ class WgttSystem {
   /// AP index serving client i, or -1 before bootstrap.
   [[nodiscard]] int serving_ap(int client) const;
   /// Ground truth for the switching-accuracy metric: the AP with maximal
-  /// instantaneous ESNR to client i. With the spatial index on, only the
-  /// neighborhood within sense range (plus margin) is evaluated — an AP the
-  /// client cannot hear at all can never be the paper's "optimal AP" — and
-  /// falls back to the nearest AP when the neighborhood is empty. With the
-  /// index off this is exactly TestbedGeometry::optimal_ap.
+  /// instantaneous ESNR to client i. Only the neighborhood within sense
+  /// range (plus margin) is evaluated — an AP the client cannot hear at all
+  /// can never be the paper's "optimal AP" — and the nearest AP is the
+  /// answer when the neighborhood is empty. Whenever the whole array is in
+  /// range this is exactly TestbedGeometry::optimal_ap.
   [[nodiscard]] int optimal_ap(int client, Time now) const;
-  /// The road-segment index, empty when `spatial.use_index` is off.
+  /// The road-segment index over the AP positions.
   [[nodiscard]] const core::SpatialIndex& spatial_index() const {
     return spatial_index_;
   }

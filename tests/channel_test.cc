@@ -149,7 +149,7 @@ TEST(SubcarrierTest, OffsetsSpanTwentyMhz) {
   EXPECT_DOUBLE_EQ(subcarrier_offset_hz(55), 28 * 312.5e3);
 }
 
-// The tone map the batch kernel's rotation tables are built from: indices
+// The tone map csi()'s rotation tables are built from: indices
 // 0..55 cover exactly tones -28..-1, +1..+28 — strictly increasing, DC
 // never emitted, and mirror-symmetric (index i and 55-i are opposite
 // tones). An off-by-one here would silently shear every rotation row.
@@ -384,48 +384,6 @@ TEST(TappedDelayTest, BitIdenticalToReferenceFormula) {
     const std::complex<double> flat = ch.flat_gain(pos, t);
     ASSERT_EQ(flat.real(), flat_ref.real()) << "sample " << s;
     ASSERT_EQ(flat.imag(), flat_ref.imag()) << "sample " << s;
-  }
-}
-
-// The batched kernel contract (DESIGN.md §11.6): csi_into/csi_batch are
-// the same evaluation as csi(), lane-restructured but never reassociated —
-// every sample is bit-identical, so there is no accuracy knob to document.
-TEST(TappedDelayTest, BatchMatchesScalarBitwise) {
-  const TappedDelayChannel::Config cfg;
-  Rng rng(123);
-  TappedDelayChannel ch(cfg, rng);
-
-  constexpr std::size_t kSamples = 300;
-  std::vector<Vec2> pos;
-  std::vector<Time> when;
-  for (std::size_t s = 0; s < kSamples; ++s) {
-    // A drive-like sweep: monotone x (the lazy-link sampling shape) with
-    // lane wobble, millisecond-scale time steps.
-    pos.push_back({static_cast<double>(s) * 0.067,
-                   (s % 2 == 0 ? 0.0 : -3.5)});
-    when.push_back(Time::us(s * 913));
-  }
-  std::vector<CsiSnapshot> batch(kSamples);
-  ch.csi_batch(pos.data(), when.data(), kSamples, batch.data());
-
-  for (std::size_t s = 0; s < kSamples; ++s) {
-    const CsiSnapshot one = ch.csi(pos[s], when[s]);
-    ASSERT_EQ(batch[s].when, one.when) << "sample " << s;
-    for (std::size_t i = 0; i < one.gains.size(); ++i) {
-      ASSERT_EQ(batch[s].gains[i].real(), one.gains[i].real())
-          << "sample " << s << " sc " << i;
-      ASSERT_EQ(batch[s].gains[i].imag(), one.gains[i].imag())
-          << "sample " << s << " sc " << i;
-    }
-  }
-
-  // csi_into over a caller-held snapshot: same path, no fresh object.
-  CsiSnapshot reused;
-  for (std::size_t s = 0; s < kSamples; s += 17) {
-    ch.csi_into(pos[s], when[s], reused);
-    for (std::size_t i = 0; i < reused.gains.size(); ++i) {
-      ASSERT_EQ(reused.gains[i], batch[s].gains[i]) << "sample " << s;
-    }
   }
 }
 

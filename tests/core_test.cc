@@ -899,41 +899,6 @@ TEST_F(ControllerTest, BoundedFallbackFansOutToSpatialNeighborhood) {
   EXPECT_EQ(count_to_ap<net::DownlinkData>(2), 1);
 }
 
-// --- Staggered heartbeats (city-scale liveness) -----------------------------
-
-TEST_F(ControllerTest, StaggeredHeartbeatsRoundRobinBySegment) {
-  Controller::Config cfg;
-  cfg.liveness_enabled = true;
-  cfg.heartbeat_stagger = 3;
-  Controller& c = make(cfg);
-  SpatialIndex idx;
-  idx.build({0.0, 40.0, 80.0}, 30.0);  // three APs in three distinct segments
-  c.set_spatial(&idx, 100.0);
-  bool answers[3] = {true, true, false};
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    attach_heartbeat_responder(i, &answers[i]);
-  }
-  // Ticks land every 25 ms but each probes one segment group: AP0 at 25 ms,
-  // AP1 at 50 ms, AP2 at 75 ms, AP0 again at 100 ms, ... so every AP is
-  // probed exactly once per 3 ticks instead of on every tick.
-  sched_.run_until(Time::ms(90));
-  EXPECT_EQ(count_to_ap<net::Heartbeat>(0), 1);
-  EXPECT_EQ(count_to_ap<net::Heartbeat>(1), 1);
-  EXPECT_EQ(count_to_ap<net::Heartbeat>(2), 1);
-  sched_.run_until(Time::ms(165));
-  EXPECT_EQ(count_to_ap<net::Heartbeat>(0), 2);
-  EXPECT_EQ(count_to_ap<net::Heartbeat>(1), 2);
-  EXPECT_EQ(count_to_ap<net::Heartbeat>(2), 2);
-  // Detection still converges, just 3x slower: AP2's unanswered probes at
-  // 75/150/225 ms are judged at 150/225/300 ms — Dead at the 300 ms tick.
-  sched_.run_until(Time::ms(290));
-  EXPECT_EQ(c.ap_health(ApId{2}).state, Controller::ApLiveness::kSuspect);
-  sched_.run_until(Time::ms(310));
-  EXPECT_EQ(c.ap_health(ApId{2}).state, Controller::ApLiveness::kDead);
-  EXPECT_EQ(c.ap_health(ApId{0}).state, Controller::ApLiveness::kAlive);
-  EXPECT_EQ(c.ap_health(ApId{1}).state, Controller::ApLiveness::kAlive);
-}
-
 // --- StreamingMedian: must be bit-identical to the sort-based formula -------
 
 TEST(StreamingMedianTest, AgreesWithSortedLowerMedianUnderEviction) {

@@ -149,47 +149,72 @@ TEST(SchedulerTest, CancelReleasesCapturesImmediately) {
 
 // Ordering contract, locked in across the heap rewrite: an arbitrary
 // schedule/cancel interleaving fires exactly the surviving events, in
-// (when, seq) order — verified against a simple reference model.
+// (when, seq) order — verified against a simple reference model. Two inputs
+// per seed: every op queued before one run_all(), and ops interleaved with
+// run_until() pumps, where some cancels hit events that already fired and
+// must be no-ops.
 TEST(SchedulerTest, ChurnMatchesReferenceModel) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Scheduler s;
-    Rng rng(seed * 7919 + 3);
-    struct Ref {
-      Time when;
-      int tag;
-      bool cancelled = false;
-    };
-    std::vector<Ref> model;
-    std::vector<EventId> ids;
-    std::vector<int> fired;
-    for (int i = 0; i < 400; ++i) {
-      if (!ids.empty() && rng.chance(0.3)) {
-        // Cancel a random prior event (possibly already cancelled).
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(static_cast<int>(ids.size())));
-        s.cancel(ids[pick]);
-        model[pick].cancelled = true;
-      } else {
-        const Time when =
-            Time::us(static_cast<std::int64_t>(rng.uniform_int(2'000)));
-        const int tag = i;
-        ids.push_back(s.schedule_at(when, [&fired, tag] { fired.push_back(tag); }));
-        model.push_back(Ref{when, tag});
+  for (const bool interleaved : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Scheduler s;
+      Rng rng(seed * 7919 + 3);
+      struct Ref {
+        Time when;
+        int tag;
+        bool cancelled = false;
+        bool fired = false;
+      };
+      std::vector<Ref> model;
+      std::vector<EventId> ids;
+      std::vector<int> fired;
+      std::vector<int> expected;
+      // Reference for draining up to `limit`: every live event due by then,
+      // stable-sorted by time — equal times keep schedule order.
+      const auto expect_due = [&](Time limit) {
+        std::vector<std::size_t> due;
+        for (std::size_t k = 0; k < model.size(); ++k) {
+          const Ref& r = model[k];
+          if (!r.cancelled && !r.fired && r.when <= limit) due.push_back(k);
+        }
+        std::stable_sort(due.begin(), due.end(),
+                         [&](std::size_t a, std::size_t b) {
+                           return model[a].when < model[b].when;
+                         });
+        for (const std::size_t k : due) {
+          model[k].fired = true;
+          expected.push_back(model[k].tag);
+        }
+      };
+      for (int i = 0; i < 400; ++i) {
+        if (!ids.empty() && rng.chance(0.3)) {
+          // Cancel a random prior event (possibly already cancelled, or —
+          // interleaved — already fired).
+          const auto pick = static_cast<std::size_t>(
+              rng.uniform_int(static_cast<int>(ids.size())));
+          s.cancel(ids[pick]);
+          if (!model[pick].fired) model[pick].cancelled = true;
+        } else {
+          const Time when =
+              s.now() +
+              Time::us(static_cast<std::int64_t>(rng.uniform_int(2'000)));
+          const int tag = i;
+          ids.push_back(
+              s.schedule_at(when, [&fired, tag] { fired.push_back(tag); }));
+          model.push_back(Ref{when, tag});
+        }
+        if (interleaved && i % 8 == 7) {
+          const Time limit = s.now() + Time::us(120);
+          expect_due(limit);
+          s.run_until(limit);
+          ASSERT_EQ(fired, expected) << "seed " << seed << " op " << i;
+        }
       }
+      expect_due(Time::max());
+      s.run_all();
+      ASSERT_EQ(fired, expected)
+          << "seed " << seed << (interleaved ? " (interleaved)" : "");
+      EXPECT_EQ(s.pending(), 0u);
     }
-    s.run_all();
-
-    // Reference order: stable sort by time — equal times keep schedule order.
-    std::vector<int> expected;
-    std::vector<Ref> survivors;
-    for (const auto& r : model) {
-      if (!r.cancelled) survivors.push_back(r);
-    }
-    std::stable_sort(survivors.begin(), survivors.end(),
-                     [](const Ref& a, const Ref& b) { return a.when < b.when; });
-    for (const auto& r : survivors) expected.push_back(r.tag);
-    ASSERT_EQ(fired, expected) << "seed " << seed;
-    EXPECT_EQ(s.pending(), 0u);
   }
 }
 

@@ -44,18 +44,15 @@
 // boundaries, and crash failover. 1 (the default) is the single-controller
 // engine, byte-identical to the seed.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
 #include "bench/harness.h"
-#include "mobility/trajectory.h"
 #include "obs/metrics.h"
 #include "scenario/parallel_city.h"
 #include "scenario/wgtt_system.h"
-#include "trace/tracer.h"
-#include "transport/tcp.h"
-#include "transport/udp.h"
 
 using namespace wgtt;
 using namespace wgtt::benchx;
@@ -64,7 +61,6 @@ namespace {
 
 struct Options {
   DriveConfig drive;
-  std::string csv_path;
   int num_aps = 8;
   double spacing = 7.5;
   int parallel_workers = 0;  // 0 = sequential run_drive path
@@ -90,7 +86,6 @@ void usage() {
 
 Options parse(int argc, char** argv) {
   Options o;
-  int channel_reuse = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto need_value = [&](const char* name) -> const char* {
@@ -151,10 +146,10 @@ Options parse(int argc, char** argv) {
       if (v) o.drive.hysteresis = Time::millis(std::atof(v));
     } else if (arg == "--channel-reuse") {
       const char* v = need_value("--channel-reuse");
-      if (v) channel_reuse = std::atoi(v);
+      if (v) o.drive.channel_reuse = std::atoi(v);
     } else if (arg == "--csv") {
       const char* v = need_value("--csv");
-      if (v) o.csv_path = v;
+      if (v) o.drive.trace_csv_path = v;
     } else if (arg == "--metrics") {
       const char* v = need_value("--metrics");
       if (v) o.drive.metrics_path = v;
@@ -231,72 +226,8 @@ Options parse(int argc, char** argv) {
     geo.ap_spacing_m = o.spacing;
     o.drive.geometry = geo;
   }
-  (void)channel_reuse;  // consumed below in run_with_trace for reuse > 1
   o.drive.accuracy_probe = Time::ms(10);
   return o;
-}
-
-/// Runs with a tracer attached (WGTT only; the trace hooks are WGTT's).
-int run_with_trace(const Options& o, int channel_reuse) {
-  scenario::WgttSystemConfig cfg;
-  cfg.geometry = o.drive.geometry.value_or(scenario::GeometryConfig{});
-  cfg.geometry.seed = o.drive.seed;
-  cfg.channel_reuse = channel_reuse;
-  if (o.drive.backhaul_link_rate_mbps) {
-    cfg.backhaul.link_rate_mbps = *o.drive.backhaul_link_rate_mbps;
-  }
-  cfg.backhaul.batching = o.drive.backhaul_batching;
-  scenario::WgttSystem sys(cfg);
-  mobility::LineDrive drive(-o.drive.lead_in_m, 0.0, mph_to_mps(o.drive.mph));
-  const int c = sys.add_client(&drive);
-  sys.start();
-
-  transport::UdpSink sink;
-  sys.client(c).on_downlink = [&](const net::Packet& p) {
-    sink.on_packet(sys.now(), p);
-  };
-  trace::Tracer tracer;
-  trace::attach(tracer, sys);
-
-  obs::MetricsRegistry metrics;
-  if (!o.drive.metrics_path.empty()) {
-    sys.enable_metrics(metrics, o.drive.metrics_interval);
-    transport::TcpSender::register_metrics(metrics);
-  }
-
-  transport::UdpSource src(
-      sys.sched(),
-      [&](net::Packet p) {
-        p.client = net::ClientId{0};
-        sys.server_send(std::move(p));
-      },
-      {.rate_mbps = o.drive.udp_rate_mbps, .client = net::ClientId{0}});
-  src.start();
-
-  const double last_ap_x = (cfg.geometry.num_aps - 1) * cfg.geometry.ap_spacing_m;
-  const Time horizon = Time::seconds(
-      (o.drive.lead_in_m * 2 + last_ap_x) / mph_to_mps(o.drive.mph));
-  sys.run_until(horizon);
-
-  std::printf("delivered %.2f Mbit/s over %.1f s; %zu switches; "
-              "%zu trace events\n",
-              sink.throughput().average_mbps(Time::zero(), horizon),
-              horizon.to_seconds(),
-              tracer.count(trace::EventKind::kSwitchCompleted),
-              tracer.size());
-  if (!o.csv_path.empty()) {
-    std::ofstream out(o.csv_path);
-    tracer.write_csv(out);
-    std::printf("trace written to %s\n", o.csv_path.c_str());
-  }
-  if (!o.drive.metrics_path.empty()) {
-    metrics.gauge("trace.events_dropped")
-        .set(static_cast<double>(tracer.dropped()));
-    std::ofstream out(o.drive.metrics_path);
-    metrics.write_json(out);
-    std::printf("metrics written to %s\n", o.drive.metrics_path.c_str());
-  }
-  return 0;
 }
 
 /// Runs the multi-corridor city on the parallel engine (--parallel-workers).
@@ -346,23 +277,21 @@ int run_parallel(const Options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int channel_reuse = 1;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--channel-reuse") == 0) {
-      channel_reuse = std::atoi(argv[i + 1]);
-    }
-  }
   const Options o = parse(argc, argv);
   if (o.help) return 0;
   if (!o.ok) return 1;
-  if (!o.drive.metrics_path.empty() && o.drive.system != System::kWgtt) {
-    std::fprintf(stderr, "--metrics requires the wgtt system\n");
+  const bool traced = !o.drive.trace_csv_path.empty();
+  const bool multichannel = o.drive.channel_reuse > 1;
+  if (o.drive.system != System::kWgtt &&
+      (!o.drive.metrics_path.empty() || traced || multichannel)) {
+    std::fprintf(stderr,
+                 "--metrics/--csv/--channel-reuse require the wgtt system\n");
     return 1;
   }
   // Fail unwritable output paths up front, not after a multi-second drive.
   // Probe in append mode so an existing file's contents survive the probe
   // (the real writers truncate, but only once the run has succeeded).
-  for (const std::string& path : {o.drive.metrics_path, o.csv_path}) {
+  for (const std::string& path : {o.drive.metrics_path, o.drive.trace_csv_path}) {
     if (path.empty()) continue;
     std::ofstream probe(path, std::ios::app);
     if (!probe) {
@@ -373,8 +302,8 @@ int main(int argc, char** argv) {
   }
 
   if (o.drive.num_domains > 1 &&
-      (o.drive.system != System::kWgtt || o.parallel_workers > 0 ||
-       !o.csv_path.empty() || channel_reuse > 1)) {
+      (o.drive.system != System::kWgtt || o.parallel_workers > 0 || traced ||
+       multichannel)) {
     std::fprintf(stderr,
                  "--domains requires the wgtt system on the sequential "
                  "engine (no --csv/--channel-reuse/--parallel-workers)\n");
@@ -383,26 +312,13 @@ int main(int argc, char** argv) {
 
   if (o.parallel_workers > 0) {
     if (o.drive.system != System::kWgtt ||
-        o.drive.workload == Workload::kTcpDown || !o.csv_path.empty() ||
-        channel_reuse > 1) {
+        o.drive.workload == Workload::kTcpDown || traced || multichannel) {
       std::fprintf(stderr,
                    "--parallel-workers supports the wgtt system with udp or "
                    "uplink workloads (no --csv/--channel-reuse)\n");
       return 1;
     }
     return run_parallel(o);
-  }
-
-  // CSV tracing needs the hook-based path (WGTT, UDP downlink).
-  if (!o.csv_path.empty() || channel_reuse > 1) {
-    if (o.drive.system != System::kWgtt ||
-        o.drive.workload != Workload::kUdpDown || o.drive.num_clients != 1) {
-      std::fprintf(stderr,
-                   "--csv/--channel-reuse currently support the default "
-                   "wgtt/udp/1-client mode\n");
-      return 1;
-    }
-    return run_with_trace(o, channel_reuse);
   }
 
   const DriveResult r = run_drive(o.drive);
@@ -439,6 +355,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < r.clients.size(); ++i) {
     std::printf("  client %zu : %.2f Mbit/s, tcp %s\n", i, r.clients[i].mbps,
                 r.clients[i].tcp_alive ? "alive" : "DEAD");
+  }
+  if (traced) {
+    std::printf("trace written to %s\n", o.drive.trace_csv_path.c_str());
   }
   if (!o.drive.metrics_path.empty()) {
     std::printf("metrics written to %s\n", o.drive.metrics_path.c_str());
