@@ -9,6 +9,17 @@ namespace wgtt::core {
 using net::BackhaulMessage;
 using net::NodeId;
 
+namespace {
+
+// 48-bit de-dup key: 32-bit source identity (client) + 16-bit IP-ID
+// (§3.2.2).
+std::uint64_t dedup_key(net::ClientId client, std::uint32_t ip_id) {
+  return (static_cast<std::uint64_t>(net::index_of(client)) << 16) |
+         (ip_id & 0xffff);
+}
+
+}  // namespace
+
 Controller::Controller(sim::Scheduler& sched, net::Backhaul& backhaul,
                        Config config)
     : sched_(sched),
@@ -112,28 +123,12 @@ void Controller::add_client(net::ClientId client) {
   if (cs.registered) return;
   cs.registered = true;
   cs.ack_timer = std::make_unique<sim::Timer>(sched_, [this, client] {
-    // stop/ack lost: retransmit the stop (paper §3.1.2, 30 ms timeout).
+    // stop/ack lost: retransmit the switch (paper §3.1.2, 30 ms timeout).
     ClientState* s = state(client);
     if (s == nullptr || !s->switch_pending) return;
     ++stats_.stop_retransmissions;
     if (metrics_) metrics_->stop_retransmissions->inc();
-    if (s->pending_forced) {
-      // Forced failover: the old AP is dead, so there is no stop to
-      // retransmit — resend the bootstrap start to the new AP.
-      backhaul_.send(self_node(), NodeId::ap(s->pending_target),
-                     net::StartMsg{client, s->pending_target,
-                                   s->pending_first_index, s->epoch});
-    } else if (s->serving) {
-      backhaul_.send(self_node(), NodeId::ap(s->pending_from),
-                     net::StopMsg{client, s->pending_target, s->epoch});
-    } else {
-      // Bootstrap start was lost; resend it directly, with the fan-out
-      // index captured at initiation (next_index has kept advancing and
-      // would skip everything fanned out since).
-      backhaul_.send(self_node(), NodeId::ap(s->pending_target),
-                     net::StartMsg{client, s->pending_target,
-                                   s->pending_first_index, s->epoch});
-    }
+    send_switch(client, *s);
     s->ack_timer->start(config_.ack_timeout);
   }, sim::EventCategory::kControl);
   if (multi_domain()) {
@@ -191,16 +186,9 @@ const Controller::ClientState* Controller::state(net::ClientId client) const {
 
 void Controller::set_spatial(const SpatialIndex* index,
                              double neighbor_radius_m) {
-  spatial_ = index;
-  spatial_radius_m_ = neighbor_radius_m;
   tracker_.set_spatial(index, neighbor_radius_m);
   ap_neighbors_.clear();
-  shard_clients_.clear();
-  for (ClientState& cs : clients_) cs.shard = -1;
-  if (index == nullptr || index->empty()) {
-    spatial_ = nullptr;
-    return;
-  }
+  if (index == nullptr || index->empty()) return;
   ap_neighbors_.resize(static_cast<std::size_t>(index->num_aps()));
   for (net::ApId ap : aps_) {
     const auto i = static_cast<int>(net::index_of(ap));
@@ -210,29 +198,6 @@ void Controller::set_spatial(const SpatialIndex* index,
     out.reserve(near.size());
     for (int n : near) out.push_back(static_cast<net::ApId>(n));
   }
-  shard_clients_.resize(static_cast<std::size_t>(index->num_segments()));
-  // Clients that already have an anchor (CSI arrived before set_spatial)
-  // are sharded immediately; the rest join on their first report.
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (clients_[i].registered && clients_[i].anchor_ap >= 0) {
-      update_shard(static_cast<std::uint32_t>(i), clients_[i]);
-    }
-  }
-}
-
-void Controller::update_shard(std::uint32_t client_idx, ClientState& cs) {
-  if (spatial_ == nullptr || shard_clients_.empty() || cs.anchor_ap < 0 ||
-      cs.anchor_ap >= spatial_->num_aps()) {
-    return;
-  }
-  const int seg = spatial_->segment_of_ap(cs.anchor_ap);
-  if (seg == cs.shard) return;
-  if (cs.shard >= 0) {
-    auto& old = shard_clients_[static_cast<std::size_t>(cs.shard)];
-    old.erase(std::remove(old.begin(), old.end(), client_idx), old.end());
-  }
-  shard_clients_[static_cast<std::size_t>(seg)].push_back(client_idx);
-  cs.shard = seg;
 }
 
 void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
@@ -258,30 +223,21 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
           if (cs != nullptr && cs->owned) {
             process_csi(m.report, *cs);
           } else {
-            ++stats_.misrouted_dropped;
-            if (metrics_ && metrics_->misrouted_dropped) {
-              metrics_->misrouted_dropped->inc();
-            }
+            count_misrouted();
           }
         } else if constexpr (std::is_same_v<T, net::UplinkForward>) {
           ClientState* cs = state(m.data.packet.client);
           if (cs != nullptr && cs->owned) {
             handle_uplink(std::move(m.data));
           } else {
-            ++stats_.misrouted_dropped;
-            if (metrics_ && metrics_->misrouted_dropped) {
-              metrics_->misrouted_dropped->inc();
-            }
+            count_misrouted();
           }
         } else if constexpr (std::is_same_v<T, net::DownlinkForward>) {
           ClientState* cs = state(m.packet.client);
           if (cs != nullptr && cs->owned) {
             send_downlink(std::move(m.packet));
           } else {
-            ++stats_.misrouted_dropped;
-            if (metrics_ && metrics_->misrouted_dropped) {
-              metrics_->misrouted_dropped->inc();
-            }
+            count_misrouted();
           }
         } else if constexpr (std::is_same_v<T, net::HandoverRequest>) {
           handle_handover_request(std::move(m));
@@ -318,7 +274,8 @@ void Controller::handle_csi(const net::CsiReport& report) {
     // Measurement for a client another domain owns (our AP overheard it
     // near the boundary): relay to the believed owner, whose argmax seeing
     // our AP win is exactly what triggers the inter-domain handover.
-    forward_csi(report, *cs);
+    relay_to_owner(*cs, net::CsiForward{config_.domains.id, report},
+                   stats_.csi_forwarded, &Metrics::csi_forwarded);
     return;
   }
   process_csi(report, *cs);
@@ -332,15 +289,10 @@ void Controller::process_csi(const net::CsiReport& report, ClientState& cs) {
           ? phy::esnr_metric_db(report.measurement.subcarrier_snr_db)
           : report.measurement.rssi_dbm;
   tracker_.add(report.client, report.from_ap, sched_.now(), value);
-  cs.anchor_ap = static_cast<int>(net::index_of(report.from_ap));
-  update_shard(net::index_of(report.client), cs);
-  maybe_switch(report.client);
+  maybe_switch(report.client, cs);
 }
 
-void Controller::maybe_switch(net::ClientId client) {
-  ClientState* csp = state(client);
-  if (csp == nullptr) return;
-  ClientState& cs = *csp;
+void Controller::maybe_switch(net::ClientId client, ClientState& cs) {
   if (cs.switch_pending) return;  // at most one outstanding switch
   if (cs.ho_pending) return;      // ... or one outstanding handover
   if (metrics_) metrics_->selection_evaluations->inc();
@@ -359,13 +311,21 @@ void Controller::maybe_switch(net::ClientId client) {
     }
   }
 
-  if (!cs.serving) {
-    bootstrap(client, *best);
+  // An unserved client bootstraps onto the best AP outright.
+  if (cs.serving &&
+      (*best == *cs.serving || !may_replace_serving(client, cs, *best))) {
     return;
   }
-  if (*best == *cs.serving) return;
-  if (sched_.now() - cs.last_switch_completed < config_.switch_hysteresis) return;
+  ++cs.epoch;
+  begin_switch(client, cs, *best, /*forced=*/false, cs.next_index);
+}
 
+bool Controller::may_replace_serving(net::ClientId client,
+                                     const ClientState& cs,
+                                     net::ApId challenger) {
+  if (sched_.now() - cs.last_switch_completed < config_.switch_hysteresis) {
+    return false;
+  }
   const auto incumbent = tracker_.median(client, *cs.serving, sched_.now());
   if (!incumbent) {
     // No in-window CSI from the serving AP: the window holds a partial view
@@ -379,57 +339,56 @@ void Controller::maybe_switch(net::ClientId client) {
     const auto heard = tracker_.last_heard(client, *cs.serving);
     if (heard && sched_.now() - *heard < config_.serving_stale_timeout) {
       const auto last_known = tracker_.last_value(client, *cs.serving);
-      const auto challenger = tracker_.median(client, *best, sched_.now());
-      if (!challenger || !last_known ||
-          *challenger <= *last_known + config_.switch_margin_db) {
-        return;
-      }
+      const auto value = tracker_.median(client, challenger, sched_.now());
+      return value && last_known &&
+             *value > *last_known + config_.switch_margin_db;
     }
   } else if (config_.switch_margin_db > 0.0) {
-    const auto challenger = tracker_.median(client, *best, sched_.now());
-    if (challenger && *challenger < *incumbent + config_.switch_margin_db) {
-      return;
-    }
+    const auto value = tracker_.median(client, challenger, sched_.now());
+    return !value || *value >= *incumbent + config_.switch_margin_db;
   }
-  initiate_switch(client, *best);
+  return true;
 }
 
-void Controller::bootstrap(net::ClientId client, net::ApId first_ap) {
-  ClientState& cs = *state(client);
+void Controller::begin_switch(net::ClientId client, ClientState& cs,
+                              net::ApId target, bool forced,
+                              std::uint16_t first_index) {
   cs.switch_pending = true;
-  cs.pending_forced = false;
-  cs.pending_target = first_ap;
-  cs.pending_from = first_ap;
-  cs.pending_since = sched_.now();
-  cs.pending_first_index = cs.next_index;
-  ++cs.epoch;
-  ++stats_.switches_initiated;
-  if (metrics_) metrics_->switches_initiated->inc();
-  if (on_switch_initiated) {
-    on_switch_initiated(client, std::nullopt, first_ap, sched_.now());
-  }
-  backhaul_.send(self_node(), NodeId::ap(first_ap),
-                 net::StartMsg{client, first_ap, cs.pending_first_index,
-                               cs.epoch});
-  cs.ack_timer->start(config_.ack_timeout);
-}
-
-void Controller::initiate_switch(net::ClientId client, net::ApId target) {
-  ClientState& cs = *state(client);
-  cs.switch_pending = true;
-  cs.pending_forced = false;
+  cs.pending_forced = forced;
   cs.pending_target = target;
-  cs.pending_from = *cs.serving;
+  cs.pending_from = cs.serving.value_or(target);
   cs.pending_since = sched_.now();
-  ++cs.epoch;
+  cs.pending_first_index = first_index;
   ++stats_.switches_initiated;
   if (metrics_) metrics_->switches_initiated->inc();
   if (on_switch_initiated) {
     on_switch_initiated(client, cs.serving, target, sched_.now());
   }
-  backhaul_.send(self_node(), NodeId::ap(*cs.serving),
-                 net::StopMsg{client, target, cs.epoch});
+  // The send draws backhaul jitter and the timer takes a scheduler sequence
+  // number: this order is part of every seeded run.
+  send_switch(client, cs);
   cs.ack_timer->start(config_.ack_timeout);
+}
+
+void Controller::send_switch(net::ClientId client, const ClientState& cs) {
+  if (cs.serving && !cs.pending_forced) {
+    backhaul_.send(self_node(), NodeId::ap(cs.pending_from),
+                   net::StopMsg{client, cs.pending_target, cs.epoch});
+  } else {
+    // No stop to send: the client is unserved (bootstrap), or the old AP is
+    // dead or another domain's. Start the target directly, always with the
+    // fan-out index captured at initiation (next_index has kept advancing
+    // and would skip everything fanned out since).
+    backhaul_.send(self_node(), NodeId::ap(cs.pending_target),
+                   net::StartMsg{client, cs.pending_target,
+                                 cs.pending_first_index, cs.epoch});
+  }
+}
+
+void Controller::end_switch(ClientState& cs) {
+  cs.ack_timer->cancel();
+  cs.switch_pending = false;
+  cs.pending_forced = false;
 }
 
 void Controller::handle_switch_ack(const net::SwitchAck& msg) {
@@ -442,21 +401,13 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
     // sits across the boundary. Relay to the believed owner exactly once;
     // without this the owner's switch retransmits forever against an ack
     // that keeps landing on the wrong controller.
-    const std::uint32_t owner = cs.owner_domain;
-    if (!msg.relayed && owner < peers_.size() &&
-        owner != config_.domains.id && peers_[owner].alive) {
+    if (msg.relayed) {
+      count_misrouted();
+    } else {
       net::SwitchAck fwd = msg;
       fwd.relayed = true;
-      ++stats_.switch_acks_forwarded;
-      if (metrics_ && metrics_->switch_acks_fwd) {
-        metrics_->switch_acks_fwd->inc();
-      }
-      backhaul_.send(self_node(), NodeId::controller(owner), fwd);
-    } else {
-      ++stats_.misrouted_dropped;
-      if (metrics_ && metrics_->misrouted_dropped) {
-        metrics_->misrouted_dropped->inc();
-      }
+      relay_to_owner(cs, fwd, stats_.switch_acks_forwarded,
+                     &Metrics::switch_acks_fwd);
     }
     return;
   }
@@ -471,9 +422,7 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
     if (metrics_) metrics_->stale_acks_ignored->inc();
     return;
   }
-  cs.ack_timer->cancel();
-  cs.switch_pending = false;
-  cs.pending_forced = false;
+  end_switch(cs);
   const net::ApId from = cs.serving.value_or(msg.from_ap);
   cs.serving = msg.from_ap;
   cs.last_switch_completed = sched_.now();
@@ -495,7 +444,9 @@ void Controller::send_downlink(net::Packet packet) {
   if (multi_domain() && !cs.owned) {
     // The server handed us a packet for a client another domain owns
     // (routing lags ownership during a handover): relay it once.
-    forward_downlink(std::move(packet), cs);
+    relay_to_owner(cs, net::DownlinkForward{config_.domains.id,
+                                            std::move(packet)},
+                   stats_.downlink_forwarded, &Metrics::downlink_fwd);
     return;
   }
   ++stats_.downlink_packets;
@@ -517,9 +468,10 @@ void Controller::send_downlink(net::Packet packet) {
   std::vector<net::ApId> targets =
       tracker_.fresh_aps(packet.client, sched_.now(), config_.fanout_freshness);
   if (targets.empty()) {
-    if (config_.bounded_fallback && spatial_ != nullptr && cs.anchor_ap >= 0 &&
-        static_cast<std::size_t>(cs.anchor_ap) < ap_neighbors_.size()) {
-      targets = ap_neighbors_[static_cast<std::size_t>(cs.anchor_ap)];
+    const int anchor =
+        config_.bounded_fallback ? tracker_.anchor_ap(packet.client) : -1;
+    if (anchor >= 0 && static_cast<std::size_t>(anchor) < ap_neighbors_.size()) {
+      targets = ap_neighbors_[static_cast<std::size_t>(anchor)];
     } else {
       targets = aps_;
     }
@@ -565,13 +517,19 @@ void Controller::send_downlink(net::Packet packet) {
 }
 
 bool Controller::dedup_accept(const net::Packet& p) {
-  // 48-bit key: 32-bit source identity (client) + 16-bit IP-ID (§3.2.2).
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(net::index_of(p.client)) << 16) | p.ip_id;
-  if (dedup_set_.contains(key)) {
+  if (!dedup_insert(dedup_key(p.client, p.ip_id))) {
     if (metrics_) metrics_->dedup_hits->inc();
     return false;
   }
+  if (metrics_) {
+    metrics_->dedup_misses->inc();
+    metrics_->dedup_table_size->set(static_cast<double>(dedup_set_.size()));
+  }
+  return true;
+}
+
+bool Controller::dedup_insert(std::uint64_t key) {
+  if (dedup_set_.contains(key)) return false;
   // Evict before inserting, with >=: the table never holds more than
   // dedup_capacity keys at any instant. The old post-insert `>` check let
   // it grow to capacity + 1 before evicting — the off-by-one fixed in PR 7
@@ -582,10 +540,6 @@ bool Controller::dedup_accept(const net::Packet& p) {
   }
   dedup_set_.insert(key);
   dedup_fifo_.push_back(key);
-  if (metrics_) {
-    metrics_->dedup_misses->inc();
-    metrics_->dedup_table_size->set(static_cast<double>(dedup_set_.size()));
-  }
   return true;
 }
 
@@ -597,7 +551,9 @@ void Controller::handle_uplink(net::UplinkData&& msg) {
     if (cs != nullptr && !cs->owned) {
       // Only the owner de-duplicates (its ring is the authoritative one);
       // relay to it.
-      forward_uplink(std::move(msg), *cs);
+      relay_to_owner(*cs, net::UplinkForward{config_.domains.id,
+                                             std::move(msg)},
+                     stats_.uplink_forwarded, &Metrics::uplink_fwd);
       return;
     }
   }
@@ -610,51 +566,24 @@ void Controller::handle_uplink(net::UplinkData&& msg) {
 
 // --- Multi-controller domains (DESIGN.md §12) ----------------------------
 
-void Controller::forward_csi(const net::CsiReport& report, ClientState& cs) {
+void Controller::relay_to_owner(const ClientState& cs,
+                                net::BackhaulMessage msg, std::uint64_t& stat,
+                                obs::Counter* Metrics::*counter) {
   const std::uint32_t owner = cs.owner_domain;
   if (owner < peers_.size() && owner != config_.domains.id &&
       peers_[owner].alive) {
-    ++stats_.csi_forwarded;
-    if (metrics_ && metrics_->csi_forwarded) metrics_->csi_forwarded->inc();
-    backhaul_.send(self_node(), NodeId::controller(owner),
-                   net::CsiForward{config_.domains.id, report});
+    ++stat;
+    if (metrics_ && (*metrics_).*counter) ((*metrics_).*counter)->inc();
+    backhaul_.send(self_node(), NodeId::controller(owner), std::move(msg));
   } else {
-    ++stats_.misrouted_dropped;
-    if (metrics_ && metrics_->misrouted_dropped) {
-      metrics_->misrouted_dropped->inc();
-    }
+    count_misrouted();
   }
 }
 
-void Controller::forward_uplink(net::UplinkData&& msg, ClientState& cs) {
-  const std::uint32_t owner = cs.owner_domain;
-  if (owner < peers_.size() && owner != config_.domains.id &&
-      peers_[owner].alive) {
-    ++stats_.uplink_forwarded;
-    if (metrics_ && metrics_->uplink_fwd) metrics_->uplink_fwd->inc();
-    backhaul_.send(self_node(), NodeId::controller(owner),
-                   net::UplinkForward{config_.domains.id, std::move(msg)});
-  } else {
-    ++stats_.misrouted_dropped;
-    if (metrics_ && metrics_->misrouted_dropped) {
-      metrics_->misrouted_dropped->inc();
-    }
-  }
-}
-
-void Controller::forward_downlink(net::Packet&& packet, ClientState& cs) {
-  const std::uint32_t owner = cs.owner_domain;
-  if (owner < peers_.size() && owner != config_.domains.id &&
-      peers_[owner].alive) {
-    ++stats_.downlink_forwarded;
-    if (metrics_ && metrics_->downlink_fwd) metrics_->downlink_fwd->inc();
-    backhaul_.send(self_node(), NodeId::controller(owner),
-                   net::DownlinkForward{config_.domains.id, std::move(packet)});
-  } else {
-    ++stats_.misrouted_dropped;
-    if (metrics_ && metrics_->misrouted_dropped) {
-      metrics_->misrouted_dropped->inc();
-    }
+void Controller::count_misrouted() {
+  ++stats_.misrouted_dropped;
+  if (metrics_ && metrics_->misrouted_dropped) {
+    metrics_->misrouted_dropped->inc();
   }
 }
 
@@ -671,31 +600,10 @@ void Controller::consider_handover(net::ClientId client, ClientState& cs,
     return;
   }
   if (target_domain >= peers_.size() || !peers_[target_domain].alive) return;
-  if (cs.serving) {
-    if (sched_.now() - cs.last_switch_completed < config_.switch_hysteresis) {
-      return;
-    }
-    // Same challenger-vs-incumbent discipline as the intra-domain decision:
-    // a cross-domain handover is strictly more expensive than a switch, so
-    // it clears at least the same bar.
-    const auto incumbent = tracker_.median(client, *cs.serving, sched_.now());
-    if (!incumbent) {
-      const auto heard = tracker_.last_heard(client, *cs.serving);
-      if (heard && sched_.now() - *heard < config_.serving_stale_timeout) {
-        const auto last_known = tracker_.last_value(client, *cs.serving);
-        const auto challenger = tracker_.median(client, target, sched_.now());
-        if (!challenger || !last_known ||
-            *challenger <= *last_known + config_.switch_margin_db) {
-          return;
-        }
-      }
-    } else if (config_.switch_margin_db > 0.0) {
-      const auto challenger = tracker_.median(client, target, sched_.now());
-      if (challenger && *challenger < *incumbent + config_.switch_margin_db) {
-        return;
-      }
-    }
-  }
+  // Same challenger-vs-incumbent discipline as the intra-domain decision:
+  // a cross-domain handover is strictly more expensive than a switch, so
+  // it clears at least the same bar.
+  if (cs.serving && !may_replace_serving(client, cs, target)) return;
   initiate_handover(client, cs, target, target_domain);
 }
 
@@ -738,8 +646,7 @@ void Controller::send_handover_request(net::ClientId client, ClientState& cs) {
 }
 
 void Controller::abort_handover(net::ClientId client, ClientState& cs) {
-  cs.ho_pending = false;
-  cs.ho_timer->cancel();
+  end_handover(cs);
   penalty_.arm(client, cs.ho_target_domain,
                sched_.now() + config_.domains.penalty_window);
   ++stats_.handover_aborts;
@@ -748,14 +655,18 @@ void Controller::abort_handover(net::ClientId client, ClientState& cs) {
   }
 }
 
+void Controller::end_handover(ClientState& cs) {
+  if (cs.ho_timer) cs.ho_timer->cancel();
+  cs.ho_pending = false;
+}
+
 std::vector<std::uint32_t> Controller::collect_dedup_seed(
     net::ClientId client) const {
   // Newest-first reverse scan of the dedup FIFO for this client's keys; the
   // target re-inserts them so in-flight uplink duplicates do not leak
   // through right after the transfer.
   std::vector<std::uint32_t> out;
-  const std::uint64_t want =
-      static_cast<std::uint64_t>(net::index_of(client)) << 16;
+  const std::uint64_t want = dedup_key(client, 0);
   for (auto it = dedup_fifo_.rbegin();
        it != dedup_fifo_.rend() && out.size() < config_.domains.dedup_seed_max;
        ++it) {
@@ -766,26 +677,15 @@ std::vector<std::uint32_t> Controller::collect_dedup_seed(
   return out;
 }
 
-void Controller::seed_dedup(net::ClientId client, std::uint32_t ip_id) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(net::index_of(client)) << 16) |
-      (ip_id & 0xffff);
-  if (dedup_set_.contains(key)) return;
-  if (dedup_fifo_.size() >= config_.dedup_capacity) {
-    dedup_set_.erase(dedup_fifo_.front());
-    dedup_fifo_.pop_front();
-  }
-  dedup_set_.insert(key);
-  dedup_fifo_.push_back(key);
-}
-
 void Controller::handle_handover_request(net::HandoverRequest&& msg) {
   ClientState* csp = state(msg.client);
-  const NodeId src = NodeId::controller(msg.src_domain);
+  const auto reply = [&](bool accepted, std::uint32_t epoch) {
+    backhaul_.send(self_node(), NodeId::controller(msg.src_domain),
+                   net::HandoverAck{msg.client, config_.domains.id, accepted,
+                                    msg.seq, epoch});
+  };
   if (csp == nullptr) {
-    backhaul_.send(self_node(), src,
-                   net::HandoverAck{msg.client, config_.domains.id, false,
-                                    msg.seq, 0});
+    reply(false, 0);
     return;
   }
   ClientState& cs = *csp;
@@ -794,20 +694,16 @@ void Controller::handle_handover_request(net::HandoverRequest&& msg) {
     // Retransmit of a transfer we already accepted (our ack was lost):
     // replay the ack only — re-applying the state would rewind the epoch
     // and watermark we have since advanced.
-    backhaul_.send(self_node(), src,
-                   net::HandoverAck{msg.client, config_.domains.id, true,
-                                    msg.seq, cs.epoch});
+    reply(true, cs.epoch);
     return;
   }
+  cs.ho_acc_valid = true;
+  cs.ho_acc_seq = msg.seq;
+  cs.ho_acc_src = msg.src_domain;
   if (cs.owned) {
     // Already ours (gossip or a prior transfer raced the retransmit chain).
     // Accept idempotently without touching the live state.
-    cs.ho_acc_valid = true;
-    cs.ho_acc_seq = msg.seq;
-    cs.ho_acc_src = msg.src_domain;
-    backhaul_.send(self_node(), src,
-                   net::HandoverAck{msg.client, config_.domains.id, true,
-                                    msg.seq, cs.epoch});
+    reply(true, cs.epoch);
     return;
   }
   // Take ownership: adopt the transferred epoch (advancing past our own
@@ -818,14 +714,11 @@ void Controller::handle_handover_request(net::HandoverRequest&& msg) {
   cs.epoch = std::max(cs.epoch, msg.epoch) + 1;
   cs.next_index = msg.next_index;
   cs.downlink_sent = msg.downlink_sent;
-  for (std::uint32_t ip_id : msg.dedup_seed) seed_dedup(msg.client, ip_id);
-  cs.ack_timer->cancel();
-  cs.switch_pending = false;
-  cs.pending_forced = false;
+  for (std::uint32_t ip_id : msg.dedup_seed) {
+    dedup_insert(dedup_key(msg.client, ip_id));
+  }
+  end_switch(cs);
   cs.serving.reset();
-  cs.ho_acc_valid = true;
-  cs.ho_acc_seq = msg.seq;
-  cs.ho_acc_src = msg.src_domain;
   ++stats_.handovers_in;
   if (metrics_ && metrics_->handovers_in) metrics_->handovers_in->inc();
   // Bar an immediate hand-back to the source: the client just crossed the
@@ -840,44 +733,19 @@ void Controller::handle_handover_request(net::HandoverRequest&& msg) {
   if (!ap_usable(target)) {
     const auto best = tracker_.best_ap(msg.client, sched_.now(),
                                        eviction_mask());
-    if (best) {
-      target = *best;
-    } else {
+    if (!best) {
       // Degraded: accept the transfer (the source's link is worse) but stay
       // unserved until fresh CSI re-bootstraps.
       ++stats_.failovers_unserved;
-      backhaul_.send(self_node(), src,
-                     net::HandoverAck{msg.client, config_.domains.id, true,
-                                      msg.seq, cs.epoch});
+      reply(true, cs.epoch);
       return;
     }
+    target = *best;
   }
-  bootstrap_forced(msg.client, cs, target);
-  backhaul_.send(self_node(), src,
-                 net::HandoverAck{msg.client, config_.domains.id, true,
-                                  msg.seq, cs.epoch});
-}
-
-void Controller::bootstrap_forced(net::ClientId client, ClientState& cs,
-                                  net::ApId target) {
-  // force_failover's bootstrap tail under the ALREADY-minted epoch: the
-  // old AP (another domain's, or a corpse's) can never answer a stop, so
-  // the start goes straight from our watermark.
-  cs.switch_pending = true;
-  cs.pending_forced = true;
-  cs.pending_target = target;
-  cs.pending_from = target;
-  cs.pending_since = sched_.now();
-  cs.pending_first_index = cs.next_index;
-  ++stats_.switches_initiated;
-  if (metrics_) metrics_->switches_initiated->inc();
-  if (on_switch_initiated) {
-    on_switch_initiated(client, std::nullopt, target, sched_.now());
-  }
-  backhaul_.send(self_node(), NodeId::ap(target),
-                 net::StartMsg{client, target, cs.pending_first_index,
-                               cs.epoch});
-  cs.ack_timer->start(config_.ack_timeout);
+  // The old AP (another domain's) can never answer our stop: start the
+  // target straight from the transferred watermark.
+  begin_switch(msg.client, cs, target, /*forced=*/true, cs.next_index);
+  reply(true, cs.epoch);
 }
 
 void Controller::handle_handover_ack(const net::HandoverAck& msg) {
@@ -885,17 +753,11 @@ void Controller::handle_handover_ack(const net::HandoverAck& msg) {
   if (csp == nullptr) return;
   ClientState& cs = *csp;
   if (!cs.ho_pending || msg.seq != cs.ho_seq) return;  // stale chain leftover
-  cs.ho_timer->cancel();
-  cs.ho_pending = false;
   if (!msg.accepted) {
-    penalty_.arm(msg.client, cs.ho_target_domain,
-                 sched_.now() + config_.domains.penalty_window);
-    ++stats_.handover_aborts;
-    if (metrics_ && metrics_->handover_aborts) {
-      metrics_->handover_aborts->inc();
-    }
+    abort_handover(msg.client, cs);
     return;
   }
+  end_handover(cs);
   // Ownership released. Stop the old serving AP under the target's minted
   // epoch (strictly newer than the start record it is serving under, so the
   // stop supersedes it); the forwarded start it triggers arrives at the
@@ -904,9 +766,7 @@ void Controller::handle_handover_ack(const net::HandoverAck& msg) {
   // common right after a returned stretch), there is nothing to quench:
   // stopping it would kill the drain the target just bootstrapped.
   const auto old_serving = cs.serving;
-  cs.ack_timer->cancel();
-  cs.switch_pending = false;
-  cs.pending_forced = false;
+  end_switch(cs);
   cs.serving.reset();
   cs.owned = false;
   cs.owner_domain = msg.from_domain;
@@ -923,13 +783,10 @@ void Controller::handle_handover_ack(const net::HandoverAck& msg) {
   }
   // Seed the gossip record with the target's minted epoch so an immediate
   // target crash still adopts from a base at least that fresh.
-  if (msg.epoch > cs.gossip_epoch || !cs.gossip_valid) {
-    cs.gossip_valid = true;
-    cs.gossip_epoch = msg.epoch;
-    cs.gossip_next_index = cs.next_index;
-    cs.gossip_downlink_sent = cs.downlink_sent;
-    cs.gossip_has_serving = true;
-    cs.gossip_serving = cs.ho_target_ap;
+  if (!cs.gossip || msg.epoch > cs.gossip->epoch) {
+    cs.gossip = net::DomainSync::Entry{msg.client, msg.from_domain, msg.epoch,
+                                       cs.next_index, cs.downlink_sent, true,
+                                       cs.ho_target_ap};
   }
   if (on_ownership_changed) {
     on_ownership_changed(msg.client, msg.from_domain);
@@ -1047,17 +904,14 @@ void Controller::adopt_client(net::ClientId client, ClientState& cs) {
   cs.owned = true;
   cs.owner_domain = config_.domains.id;
   const std::uint32_t base =
-      std::max(cs.epoch, cs.gossip_valid ? cs.gossip_epoch : 0);
+      std::max(cs.epoch, cs.gossip ? cs.gossip->epoch : 0);
   cs.epoch = base + config_.domains.epoch_jump;
-  if (cs.gossip_valid) {
-    cs.next_index = cs.gossip_next_index;
-    cs.downlink_sent = cs.gossip_downlink_sent;
+  if (cs.gossip) {
+    cs.next_index = cs.gossip->next_index;
+    cs.downlink_sent = cs.gossip->downlink_sent;
   }
-  cs.ack_timer->cancel();
-  cs.switch_pending = false;
-  cs.pending_forced = false;
-  if (cs.ho_timer) cs.ho_timer->cancel();
-  cs.ho_pending = false;
+  end_switch(cs);
+  end_handover(cs);
   ++stats_.clients_adopted;
   if (metrics_ && metrics_->clients_adopted) {
     metrics_->clients_adopted->inc();
@@ -1065,18 +919,18 @@ void Controller::adopt_client(net::ClientId client, ClientState& cs) {
   if (on_ownership_changed) {
     on_ownership_changed(client, config_.domains.id);
   }
-  if (cs.gossip_valid && cs.gossip_has_serving) {
+  if (cs.gossip && cs.gossip->has_serving) {
     // The data plane outlived its controller: the gossiped serving AP is
     // still draining under the dead domain's epoch. Keep it — we only
     // take over routing and ownership; our next measurement-driven
     // switch re-stamps the jumped epoch at the AP layer.
-    cs.serving = cs.gossip_serving;
+    cs.serving = cs.gossip->serving;
   } else {
     cs.serving.reset();
     const auto target = tracker_.best_ap(client, sched_.now(),
                                          eviction_mask());
     if (target) {
-      bootstrap_forced(client, cs, *target);
+      begin_switch(client, cs, *target, /*forced=*/true, cs.next_index);
     } else {
       // Degraded: no usable CSI anywhere yet. The adopted APs' first
       // reports (they now flow here) re-bootstrap through the normal path.
@@ -1120,16 +974,14 @@ net::DomainSync Controller::build_domain_sync() const {
                               cs.next_index, cs.downlink_sent,
                               cs.serving.has_value(),
                               cs.serving.value_or(net::ApId{})});
-    } else if (cs.gossip_valid && cs.owner_domain != me &&
+    } else if (cs.gossip && cs.owner_domain != me &&
                cs.owner_domain < peers_.size() &&
                !peers_[cs.owner_domain].alive) {
       // Relay our last record of a dead owner: the adopter may never have
       // seen the ownership transfer (the owner crashed before gossiping
       // it), and a client nobody speaks for stays orphaned forever.
-      sync.entries.push_back({static_cast<net::ClientId>(ci),
-                              cs.owner_domain, cs.gossip_epoch,
-                              cs.gossip_next_index, cs.gossip_downlink_sent,
-                              cs.gossip_has_serving, cs.gossip_serving});
+      sync.entries.push_back(*cs.gossip);
+      sync.entries.back().owner = cs.owner_domain;
     }
   }
   return sync;
@@ -1161,11 +1013,8 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
         if (metrics_ && metrics_->ownership_yields) {
           metrics_->ownership_yields->inc();
         }
-        cs.ack_timer->cancel();
-        cs.switch_pending = false;
-        cs.pending_forced = false;
-        if (cs.ho_timer) cs.ho_timer->cancel();
-        cs.ho_pending = false;
+        end_switch(cs);
+        end_handover(cs);
         if (cs.serving && !(e.has_serving && e.serving == *cs.serving)) {
           // Quench our AP's drain: an equal-epoch stop supersedes the start
           // record it serves under. new_ap = itself routes the forwarded
@@ -1181,12 +1030,7 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
         cs.owner_domain = msg.src_domain;
         // Seed the gossip record from the winner's entry: if it crashes
         // before its next sync reaches us, adoption still has a fresh base.
-        cs.gossip_valid = true;
-        cs.gossip_epoch = e.epoch;
-        cs.gossip_next_index = e.next_index;
-        cs.gossip_downlink_sent = e.downlink_sent;
-        cs.gossip_has_serving = e.has_serving;
-        cs.gossip_serving = e.serving;
+        cs.gossip = e;
         if (on_ownership_changed) {
           on_ownership_changed(e.client, msg.src_domain);
         }
@@ -1194,13 +1038,8 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
     } else {
       // Track the freshest gossip: it names the believed owner for
       // forwarding and seeds the crash-adoption bootstrap.
-      if (!cs.gossip_valid || e.epoch >= cs.gossip_epoch) {
-        cs.gossip_valid = true;
-        cs.gossip_epoch = e.epoch;
-        cs.gossip_next_index = e.next_index;
-        cs.gossip_downlink_sent = e.downlink_sent;
-        cs.gossip_has_serving = e.has_serving;
-        cs.gossip_serving = e.serving;
+      if (!cs.gossip || e.epoch >= cs.gossip->epoch) {
+        cs.gossip = e;
         cs.owner_domain = e.owner;
       }
       if (e.owner < peers_.size() && e.owner != me &&
@@ -1225,14 +1064,11 @@ void Controller::set_crashed(bool crashed) {
     if (domain_sync_timer_) domain_sync_timer_->cancel();
     for (ClientState& cs : clients_) {
       if (!cs.registered) continue;
-      cs.ack_timer->cancel();
-      if (cs.ho_timer) cs.ho_timer->cancel();
-      cs.switch_pending = false;
-      cs.pending_forced = false;
-      cs.ho_pending = false;
+      end_switch(cs);
+      end_handover(cs);
       cs.owned = false;
       cs.serving.reset();
-      cs.gossip_valid = false;
+      cs.gossip.reset();
       cs.ho_acc_valid = false;
     }
     // Any adopted APs are no longer operated by anyone until the liveness
@@ -1369,8 +1205,11 @@ void Controller::mark_dead(net::ApId ap) {
   if (metrics_ && metrics_->ap_marked_dead) metrics_->ap_marked_dead->inc();
   // Any client whose stream touches the dead AP — serving through it, or
   // mid-switch into or out of it — is failed over immediately rather than
-  // waiting out retransmissions toward a corpse.
-  const auto touch = [&](net::ClientId client, ClientState& cs) {
+  // waiting out retransmissions toward a corpse. One scan per AP death, in
+  // client-index order.
+  for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
+    ClientState& cs = clients_[ci];
+    if (!cs.registered) continue;
     const bool serving_dead = cs.serving && *cs.serving == ap;
     const bool pending_dead =
         cs.switch_pending &&
@@ -1379,43 +1218,15 @@ void Controller::mark_dead(net::ApId ap) {
       // Remember the orphan: if the AP was a zombie (radio up, backhaul
       // down) it still believes it serves this client and must be quenched
       // once it is readmitted.
+      const auto client = static_cast<net::ClientId>(ci);
       ls.orphaned.push_back(client);
-      force_failover(client);
-    }
-  };
-  if (spatial_ != nullptr && !shard_clients_.empty() &&
-      static_cast<int>(idx) < spatial_->num_aps()) {
-    // Only clients anchored near the AP can be serving through it or
-    // switching to it: serving requires CSI, CSI requires sense-range
-    // proximity, and the anchor trails the client by at most the neighbor
-    // radius — so 2x the radius around the AP covers every candidate.
-    const double x = spatial_->ap_x(static_cast<int>(idx));
-    const int s0 = spatial_->segment_of(x - 2.0 * spatial_radius_m_);
-    const int s1 = spatial_->segment_of(x + 2.0 * spatial_radius_m_);
-    for (int s = s0; s <= s1; ++s) {
-      // Copy: force_failover never edits shards, but stay robust to
-      // future hooks mutating client state mid-scan.
-      const std::vector<std::uint32_t> members =
-          shard_clients_[static_cast<std::size_t>(s)];
-      for (std::uint32_t ci : members) {
-        ClientState& cs = clients_[ci];
-        if (cs.registered) touch(static_cast<net::ClientId>(ci), cs);
-      }
-    }
-  } else {
-    for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
-      if (clients_[ci].registered) {
-        touch(static_cast<net::ClientId>(ci), clients_[ci]);
-      }
+      force_failover(client, cs);
     }
   }
 }
 
-void Controller::force_failover(net::ClientId client) {
-  ClientState& cs = *state(client);
-  cs.ack_timer->cancel();
-  cs.switch_pending = false;
-  cs.pending_forced = false;
+void Controller::force_failover(net::ClientId client, ClientState& cs) {
+  end_switch(cs);
   const auto target = tracker_.best_ap(client, sched_.now(), &ap_evicted_);
   if (!target) {
     // Degraded mode: no usable AP has in-window CSI for this client. Drop
@@ -1433,26 +1244,12 @@ void Controller::force_failover(net::ClientId client) {
   const std::uint16_t replay = static_cast<std::uint16_t>(
       std::min<std::uint64_t>(config_.failover_replay, cs.downlink_sent));
   ++cs.epoch;
-  cs.switch_pending = true;
-  cs.pending_forced = true;
-  cs.pending_target = *target;
-  cs.pending_from = cs.serving.value_or(*target);
-  cs.pending_since = sched_.now();
-  cs.pending_first_index =
-      static_cast<std::uint16_t>((cs.next_index - replay) & 0x0fff);
-  ++stats_.switches_initiated;
   ++stats_.forced_failovers;
-  if (metrics_) {
-    metrics_->switches_initiated->inc();
-    if (metrics_->forced_failovers) metrics_->forced_failovers->inc();
+  if (metrics_ && metrics_->forced_failovers) {
+    metrics_->forced_failovers->inc();
   }
-  if (on_switch_initiated) {
-    on_switch_initiated(client, cs.serving, *target, sched_.now());
-  }
-  backhaul_.send(self_node(), NodeId::ap(*target),
-                 net::StartMsg{client, *target, cs.pending_first_index,
-                               cs.epoch});
-  cs.ack_timer->start(config_.ack_timeout);
+  begin_switch(client, cs, *target, /*forced=*/true,
+               static_cast<std::uint16_t>((cs.next_index - replay) & 0x0fff));
 }
 
 void Controller::readmit(net::ApId ap) {
@@ -1490,29 +1287,11 @@ void Controller::quench_orphan(net::ApId ap, net::ClientId client) {
                  net::StopMsg{client, *cs.serving, cs.epoch});
 }
 
-std::vector<Controller::ClientDebug> Controller::client_debug() const {
-  // The slab is already ordered by client index.
-  std::vector<ClientDebug> out;
-  out.reserve(clients_.size());
-  for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
-    const ClientState& cs = clients_[ci];
-    if (!cs.registered) continue;
-    ClientDebug d;
-    d.client = static_cast<net::ClientId>(ci);
-    d.next_index = cs.next_index;
-    d.downlink_sent = cs.downlink_sent;
-    d.serving = cs.serving;
-    d.switch_pending = cs.switch_pending;
-    d.pending_forced = cs.pending_forced;
-    d.pending_target = cs.pending_target;
-    d.pending_from = cs.pending_from;
-    d.pending_since = cs.pending_since;
-    d.epoch = cs.epoch;
-    d.pending_first_index = cs.pending_first_index;
-    d.last_switch_completed = cs.last_switch_completed;
-    out.push_back(d);
-  }
-  return out;
+std::optional<Controller::ClientDebug> Controller::client_debug(
+    net::ClientId client) const {
+  const ClientState* cs = state(client);
+  if (cs == nullptr) return std::nullopt;
+  return static_cast<const ClientDebug&>(*cs);
 }
 
 std::optional<net::ApId> Controller::serving_ap(net::ClientId client) const {

@@ -241,10 +241,9 @@ class Controller {
 
   /// Wires the road-segment spatial index (owned by the scenario; must
   /// outlive the controller). Bounds the tracker's per-client ESNR scans to
-  /// `neighbor_radius_m` of the client's anchor AP, shards per-client state
-  /// by road segment (so mark_dead touches only nearby clients), and
-  /// enables the bounded fan-out fallback when that knob is set. Call once,
-  /// after every add_ap. nullptr detaches.
+  /// `neighbor_radius_m` of the client's anchor AP and enables the bounded
+  /// fan-out fallback when that knob is set. Call once, after every add_ap.
+  /// nullptr detaches.
   void set_spatial(const SpatialIndex* index, double neighbor_radius_m);
 
   /// Wires the deployment-wide domain map (owned by the scenario; must
@@ -303,26 +302,39 @@ class Controller {
   /// Health of one AP. Always Alive while liveness is disabled.
   [[nodiscard]] ApHealth ap_health(net::ApId ap) const;
 
-  /// Point-in-time snapshot of one client's control-plane state. Exists for
-  /// the post-mortem forensics dump: when an invariant trips, the exact
-  /// pending-switch bookkeeping (epoch, watermark, forced flag) is what
-  /// distinguishes a stalled handshake from a lost ack or a rewound index.
+  /// One client's switch state, declared once: the controller's per-client
+  /// state derives from it, and client_debug() returns this slice. Exists
+  /// for the post-mortem forensics dump and the timeline: when an invariant
+  /// trips, the exact pending-switch bookkeeping (epoch, watermark, forced
+  /// flag) is what distinguishes a stalled handshake from a lost ack or a
+  /// rewound index.
   struct ClientDebug {
-    net::ClientId client{};
-    std::uint16_t next_index = 0;
-    std::uint64_t downlink_sent = 0;
+    std::uint16_t next_index = 0;     // 12-bit downlink index counter
+    std::uint64_t downlink_sent = 0;  // total fanned out (clamps the replay)
     std::optional<net::ApId> serving;
+    // In-progress switch (at most one outstanding per client).
     bool switch_pending = false;
+    // The pending switch is a forced failover: the old AP is dead (or owned
+    // by another domain), so every send of it is a start to the new AP
+    // rather than a stop the old one can never answer.
     bool pending_forced = false;
     net::ApId pending_target{};
     net::ApId pending_from{};
     Time pending_since;
+    // Per-client switch-epoch counter; the pending switch carries the
+    // latest minted value and the ack must echo it.
     std::uint32_t epoch = 0;
+    // Fan-out index captured when the switch was initiated. Retransmitted
+    // starts must resend THIS, not the since-advanced next_index, or every
+    // packet fanned out between initiation and retransmit is silently
+    // skipped.
     std::uint16_t pending_first_index = 0;
-    Time last_switch_completed;
+    Time last_switch_completed = Time::ms(-1'000'000);
   };
-  /// Debug snapshots of every registered client, ordered by client index.
-  [[nodiscard]] std::vector<ClientDebug> client_debug() const;
+  /// Snapshot of one client's switch state; nullopt for an unregistered
+  /// client.
+  [[nodiscard]] std::optional<ClientDebug> client_debug(
+      net::ClientId client) const;
 
   [[nodiscard]] std::optional<net::ApId> serving_ap(net::ClientId client) const;
   /// Initiation time of the client's outstanding switch, if one is pending.
@@ -337,6 +349,7 @@ class Controller {
   }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] EsnrTracker& tracker() { return tracker_; }
+  [[nodiscard]] const EsnrTracker& tracker() const { return tracker_; }
 
   /// Registers and starts recording `controller.*` metrics (selection
   /// decisions, de-dup hit/miss and table occupancy, switch-phase timing).
@@ -345,36 +358,11 @@ class Controller {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
-  struct ClientState {
-    std::uint16_t next_index = 0;  // 12-bit downlink index counter
-    std::uint64_t downlink_sent = 0;  // total fanned out (clamps the replay)
-    std::optional<net::ApId> serving;
-    // In-progress switch (at most one outstanding per client).
-    bool switch_pending = false;
-    // The pending switch is a forced failover: the old AP is dead, so the
-    // retransmit path must resend the bootstrap start to the new AP rather
-    // than a stop the corpse can never answer.
-    bool pending_forced = false;
-    net::ApId pending_target{};
-    net::ApId pending_from{};
-    Time pending_since;
-    // Per-client switch-epoch counter; the pending switch carries the
-    // latest minted value and the ack must echo it.
-    std::uint32_t epoch = 0;
-    // Fan-out index captured when a bootstrap was initiated. Retransmits
-    // must resend THIS, not the since-advanced next_index, or every packet
-    // fanned out between initiation and retransmit is silently skipped.
-    std::uint16_t pending_first_index = 0;
+  struct ClientState : ClientDebug {
     std::unique_ptr<sim::Timer> ack_timer;
-    Time last_switch_completed = Time::ms(-1'000'000);
     // Slab bookkeeping: slots exist for every client index up to the
     // highest registered one; only registered slots are live.
     bool registered = false;
-    // AP index of the last AP to report CSI for this client (-1 before the
-    // first report) and the road segment shard the client currently sits
-    // in (-1 while unsharded). Maintained by handle_csi/update_shard.
-    int anchor_ap = -1;
-    int shard = -1;
     // --- Multi-domain ownership (inert in single-domain mode) ---
     bool owned = true;                // this domain owns the control plane
     std::uint32_t owner_domain = 0;   // believed owner (== domains.id if us)
@@ -394,23 +382,36 @@ class Controller {
     std::uint32_t ho_acc_src = 0;
     // Last-gossiped state while the client is believed owned elsewhere; the
     // crash-adoption bootstrap reads it.
-    bool gossip_valid = false;
-    std::uint32_t gossip_epoch = 0;
-    std::uint16_t gossip_next_index = 0;
-    std::uint64_t gossip_downlink_sent = 0;
-    bool gossip_has_serving = false;
-    net::ApId gossip_serving{};
+    std::optional<net::DomainSync::Entry> gossip;
   };
+  struct Metrics;
 
   void handle_backhaul(net::NodeId from, net::BackhaulMessage msg);
   void handle_csi(const net::CsiReport& report);
   void process_csi(const net::CsiReport& report, ClientState& cs);
   void handle_uplink(net::UplinkData&& msg);
   void handle_switch_ack(const net::SwitchAck& msg);
-  void maybe_switch(net::ClientId client);
-  void initiate_switch(net::ClientId client, net::ApId target);
-  void bootstrap(net::ClientId client, net::ApId first_ap);
+  void maybe_switch(net::ClientId client, ClientState& cs);
+  /// Does `challenger` clear the bar to replace the serving AP: hysteresis,
+  /// the serving-stale timeout and the margin? Requires cs.serving.
+  [[nodiscard]] bool may_replace_serving(net::ClientId client,
+                                         const ClientState& cs,
+                                         net::ApId challenger);
+  /// Opens the client's one outstanding switch toward `target` under the
+  /// epoch the caller has already minted, sends its first message and arms
+  /// the ack timer. `first_index` is where a start resumes the fan-out; a
+  /// forced switch (the old AP is dead or another domain's) always starts.
+  void begin_switch(net::ClientId client, ClientState& cs, net::ApId target,
+                    bool forced, std::uint16_t first_index);
+  /// Sends the pending switch's message: a stop to the serving AP, or a
+  /// start to the target when unserved or forced. First send and ack-timer
+  /// retransmissions alike.
+  void send_switch(net::ClientId client, const ClientState& cs);
+  /// Closes the pending switch (if any) without completing it.
+  void end_switch(ClientState& cs);
   [[nodiscard]] bool dedup_accept(const net::Packet& p);
+  /// Inserts a de-dup key; false if it was already present.
+  bool dedup_insert(std::uint64_t key);
 
   // Multi-domain machinery (no-ops while multi_domain() is false).
   [[nodiscard]] bool multi_domain() const {
@@ -425,18 +426,17 @@ class Controller {
                          net::ApId target, std::uint32_t target_domain);
   void send_handover_request(net::ClientId client, ClientState& cs);
   void abort_handover(net::ClientId client, ClientState& cs);
+  /// Closes the outstanding handover (if any) without completing it.
+  void end_handover(ClientState& cs);
   void handle_handover_request(net::HandoverRequest&& msg);
   void handle_handover_ack(const net::HandoverAck& msg);
-  /// Force-bootstrap `target` from the client's current watermark under its
-  /// current epoch (handover accept and crash adoption share this tail).
-  void bootstrap_forced(net::ClientId client, ClientState& cs,
-                        net::ApId target);
   [[nodiscard]] std::vector<std::uint32_t> collect_dedup_seed(
       net::ClientId client) const;
-  void seed_dedup(net::ClientId client, std::uint32_t ip_id);
-  void forward_csi(const net::CsiReport& report, ClientState& cs);
-  void forward_uplink(net::UplinkData&& msg, ClientState& cs);
-  void forward_downlink(net::Packet&& packet, ClientState& cs);
+  /// Relays `msg` once to the client's believed owner, counting it in
+  /// `stat` and `counter`; counted as misrouted when no alive owner exists.
+  void relay_to_owner(const ClientState& cs, net::BackhaulMessage msg,
+                      std::uint64_t& stat, obs::Counter* Metrics::*counter);
+  void count_misrouted();
   void domain_heartbeat_tick();
   void domain_sync_tick();
   [[nodiscard]] net::DomainSync build_domain_sync() const;
@@ -468,10 +468,8 @@ class Controller {
   void handle_heartbeat_ack(const net::HeartbeatAck& msg);
   void mark_dead(net::ApId ap);
   void readmit(net::ApId ap);
-  void force_failover(net::ClientId client);
+  void force_failover(net::ClientId client, ClientState& cs);
   void quench_orphan(net::ApId ap, net::ClientId client);
-  /// Moves the client into the shard of its current anchor segment.
-  void update_shard(std::uint32_t client_idx, ClientState& cs);
   [[nodiscard]] ClientState* state(net::ClientId client);
   [[nodiscard]] const ClientState* state(net::ClientId client) const;
   [[nodiscard]] bool ap_usable(net::ApId ap) const;
@@ -490,13 +488,9 @@ class Controller {
   // an array index instead of a hash probe.
   std::vector<ClientState> clients_;
 
-  // Spatial interest management (set_spatial). ap_neighbors_ is the
-  // precomputed per-AP neighbor set (for the bounded fan-out fallback);
-  // shard_clients_ is the per-road-segment directory of client indices.
-  const SpatialIndex* spatial_ = nullptr;
-  double spatial_radius_m_ = 0.0;
+  // Spatial interest management (set_spatial): the precomputed per-AP
+  // neighbor set for the bounded fan-out fallback.
   std::vector<std::vector<net::ApId>> ap_neighbors_;
-  std::vector<std::vector<std::uint32_t>> shard_clients_;
 
   // Liveness bookkeeping, indexed by AP index. ap_evicted_ mirrors
   // (state == Dead || state == Recovering) so the hot paths test one bit.

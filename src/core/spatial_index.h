@@ -14,8 +14,9 @@
 //                         returned in ascending AP-index order (callers rely
 //                         on this to keep scheduled event order identical to
 //                         the unindexed path);
-//   * segment_of(x)     — the grid cell (road segment) containing x, used to
-//                         shard per-client controller state.
+//   * segment_of(x)     — the grid cell (road segment) containing x; the
+//                         multi-domain partition cuts on segment boundaries
+//                         and the parallel city keys its corridors by it.
 //
 // The index is immutable after build(): APs do not move. Positions are
 // stored both by AP index and sorted by (x, index) so nearest/neighbors are
@@ -31,8 +32,8 @@ class SpatialIndex {
   SpatialIndex() = default;
 
   /// Builds the index over `ap_x[i]` = road coordinate of AP index i.
-  /// `cell_m` is the segment (grid cell) width; it only affects sharding
-  /// granularity, never query results.
+  /// `cell_m` is the segment (grid cell) width; it only affects segment_of
+  /// (where domain cuts may fall), never nearest/neighbors results.
   void build(std::vector<double> ap_x, double cell_m);
 
   [[nodiscard]] bool empty() const { return ap_x_.empty(); }

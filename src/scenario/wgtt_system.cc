@@ -412,7 +412,7 @@ void WgttSystem::set_ap_backhaul(int i, bool up) {
                         up);
 }
 
-core::Controller& WgttSystem::route_controller(int client) {
+int WgttSystem::route_domain(int client) const {
   const auto c = static_cast<std::size_t>(client);
   int d = c < owner_of_.size() ? owner_of_[c] : 0;
   if (d < 0 || d >= num_domains() ||
@@ -427,11 +427,11 @@ core::Controller& WgttSystem::route_controller(int client) {
       }
     }
   }
-  return *controllers_.at(static_cast<std::size_t>(std::max(d, 0)));
+  return std::max(d, 0);
 }
 
 const core::Controller& WgttSystem::route_controller(int client) const {
-  return const_cast<WgttSystem*>(this)->route_controller(client);
+  return *controllers_.at(static_cast<std::size_t>(route_domain(client)));
 }
 
 const core::Controller& WgttSystem::ap_controller(std::size_t a) const {
@@ -443,8 +443,8 @@ const core::Controller& WgttSystem::ap_controller(std::size_t a) const {
 void WgttSystem::server_send(net::Packet packet) {
   sched_.schedule_in(config_.server_latency,
                      [this, p = std::move(packet)] {
-                       route_controller(static_cast<int>(net::index_of(p.client)))
-                           .send_downlink(p);
+                       const auto c = static_cast<int>(net::index_of(p.client));
+                       controller(route_domain(c)).send_downlink(p);
                      },
                      sim::EventCategory::kBackhaul);
 }

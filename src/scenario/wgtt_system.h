@@ -96,19 +96,20 @@ struct ControllerFaultScript {
 
 /// Spatial interest management (DESIGN.md §9): a road-segment index over
 /// the AP positions that bounds every per-(client, AP) hot-path scan —
-/// medium delivery fan-out, CSI sampling, ESNR argmax, liveness sharding —
+/// medium delivery fan-out, CSI sampling, ESNR argmax, downlink fan-out —
 /// to the O(1) neighborhood that can physically matter. Every candidate set
 /// it yields equals the brute O(APs) scan's (tests/spatial_test.cc checks
 /// this step by step against test-side oracles).
 struct SpatialConfig {
   /// Road-segment (grid cell) width. APs are 7.5 m apart in the testbed,
-  /// so 30 m buckets ~4 APs per segment.
+  /// so 30 m buckets ~4 APs per segment. Segments serve only the
+  /// multi-domain partition: its cuts fall on segment boundaries.
   double cell_m = 30.0;
   /// Neighborhood radius for per-client AP interest (tracker scans, bounded
-  /// fan-out fallback, liveness sharding). 0 derives the safe default
-  /// 2 * sense_range + 50 m: any AP that could hold in-window or fresh CSI
-  /// for a client anchored at AP a heard the client within sense range,
-  /// and the client moved < 50 m since (see esnr_tracker.h).
+  /// fan-out fallback). 0 derives the safe default 2 * sense_range + 50 m:
+  /// any AP that could hold in-window or fresh CSI for a client anchored at
+  /// AP a heard the client within sense range, and the client moved < 50 m
+  /// since (see esnr_tracker.h).
   double neighbor_radius_m = 0.0;
 };
 
@@ -226,6 +227,13 @@ class WgttSystem {
   [[nodiscard]] const core::SpatialIndex& spatial_index() const {
     return spatial_index_;
   }
+  /// The controller the server should route client c's traffic through:
+  /// the last-announced owner, or the lowest-index alive controller when
+  /// that domain is down (its adopter announces itself within a failover).
+  /// check_invariants judges each client by this controller's view.
+  [[nodiscard]] const core::Controller& route_controller(int client) const;
+  /// The controller currently homing AP a (follows AdoptAp re-homing).
+  [[nodiscard]] const core::Controller& ap_controller(std::size_t a) const;
 
   // --- fault orchestration --------------------------------------------------
   // Normally driven by the scripted schedule in `ap_faults`, public so tests
@@ -261,13 +269,8 @@ class WgttSystem {
                                                           mac::RadioId peer);
   [[nodiscard]] channel::CsiMeasurement fallback_csi() const;
   [[nodiscard]] int nearest_ap(int client) const;
-  /// The controller the server should route client c's traffic through:
-  /// the last-announced owner, or the lowest-index alive controller when
-  /// that domain is down (its adopter announces itself within a failover).
-  [[nodiscard]] core::Controller& route_controller(int client);
-  [[nodiscard]] const core::Controller& route_controller(int client) const;
-  /// The controller currently homing AP a (follows AdoptAp re-homing).
-  [[nodiscard]] const core::Controller& ap_controller(std::size_t a) const;
+  /// Index of route_controller(client).
+  [[nodiscard]] int route_domain(int client) const;
 
   WgttSystemConfig config_;
   Rng rng_;

@@ -74,8 +74,8 @@ bool write_postmortem(const std::string& dir, scenario::WgttSystem& system,
     std::ofstream out(base / "liveness.txt");
     if (out) {
       for (int i = 0; i < system.num_aps(); ++i) {
-        const auto h = system.controller().ap_health(
-            net::ApId{static_cast<std::uint32_t>(i)});
+        const auto h = system.ap_controller(static_cast<std::size_t>(i))
+                           .ap_health(net::ApId{static_cast<std::uint32_t>(i)});
         out << "ap " << i << ' ' << liveness_name(h.state) << " since_s "
             << h.since.to_seconds() << " crashed "
             << (system.ap(i).crashed() ? 1 : 0) << '\n';
@@ -88,8 +88,12 @@ bool write_postmortem(const std::string& dir, scenario::WgttSystem& system,
   {
     std::ofstream out(base / "clients.txt");
     if (out) {
-      for (const auto& d : system.controller().client_debug()) {
-        out << "client " << net::index_of(d.client) << " serving "
+      for (int c = 0; c < system.num_clients(); ++c) {
+        const auto debug = system.route_controller(c).client_debug(
+            net::ClientId{static_cast<std::uint32_t>(c)});
+        if (!debug) continue;
+        const auto& d = *debug;
+        out << "client " << c << " serving "
             << (d.serving ? static_cast<int>(net::index_of(*d.serving)) : -1)
             << " epoch " << d.epoch << " next_index " << d.next_index
             << " downlink_sent " << d.downlink_sent << " switch_pending "

@@ -8,9 +8,11 @@
 //   trace_tail.csv   the flight-recorder ring's retained events (Tracer
 //                    CSV; the tail of a long run, drop-oldest)
 //   metrics.json     wgtt.metrics.v1 snapshot at dump time
-//   liveness.txt     per-AP controller liveness verdict + crash state
-//   clients.txt      per-client control-plane state: serving AP, epoch,
-//                    fan-out watermark, pending-switch bookkeeping
+//   liveness.txt     per-AP liveness verdict of the controller homing the
+//                    AP + crash state
+//   clients.txt      per-client control-plane state from the controller
+//                    owning the client: serving AP, epoch, fan-out
+//                    watermark, pending-switch bookkeeping
 // Sections whose source is absent (no tracer attached, no metrics
 // registry) are skipped, never empty-filed.
 //

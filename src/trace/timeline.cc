@@ -46,19 +46,20 @@ void TimelineRecorder::stop() {
 
 void TimelineRecorder::tick() {
   const Time now = system_.sched().now();
-  const auto debug = system_.controller().client_debug();
-  auto& tracker = system_.controller().tracker();
   const double tick_s = config_.tick.to_seconds();
 
   for (int i = 0; i < system_.num_clients(); ++i) {
     const auto idx = static_cast<std::size_t>(i);
+    const net::ClientId cid{static_cast<std::uint32_t>(i)};
+    // The controller that owns the client holds its switch state and CSI.
+    const core::Controller& ctrl = system_.route_controller(i);
     Sample s;
     s.when = now;
     s.client = i;
     s.serving = system_.serving_ap(i);
-    if (idx < debug.size()) {
-      s.epoch = debug[idx].epoch;
-      s.switch_pending = debug[idx].switch_pending;
+    if (const auto debug = ctrl.client_debug(cid)) {
+      s.epoch = debug->epoch;
+      s.switch_pending = debug->switch_pending;
     }
     const std::uint64_t delta = delivered_bytes_[idx] - last_bytes_[idx];
     last_bytes_[idx] = delivered_bytes_[idx];
@@ -66,12 +67,11 @@ void TimelineRecorder::tick() {
         tick_s > 0.0 ? static_cast<double>(delta) * 8.0 / 1e6 / tick_s : 0.0;
 
     // Freshest ESNR per AP (const accessors only — see file comment).
-    const net::ClientId cid{static_cast<std::uint32_t>(i)};
     for (int a = 0; a < system_.num_aps(); ++a) {
       const net::ApId ap{static_cast<std::uint32_t>(a)};
-      const auto heard = tracker.last_heard(cid, ap);
+      const auto heard = ctrl.tracker().last_heard(cid, ap);
       if (!heard || now - *heard > config_.esnr_freshness) continue;
-      const auto value = tracker.last_value(cid, ap);
+      const auto value = ctrl.tracker().last_value(cid, ap);
       if (!value) continue;
       s.esnr.push_back({a, *value});
     }

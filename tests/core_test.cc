@@ -275,6 +275,16 @@ TEST_F(ControllerTest, StopRetransmittedAfterAckTimeout) {
   const int total = count_to_ap<net::StopMsg>(0);
   sched_.run_until(Time::ms(400));
   EXPECT_EQ(count_to_ap<net::StopMsg>(0), total);
+  // Every retransmission repeats the first stop: same new AP, same epoch.
+  std::vector<net::StopMsg> stops;
+  for (const auto& [from, msg] : ap_log_.at(0)) {
+    if (const auto* s = std::get_if<net::StopMsg>(&msg)) stops.push_back(*s);
+  }
+  ASSERT_GE(stops.size(), 2u);
+  for (const net::StopMsg& s : stops) {
+    EXPECT_EQ(s.new_ap, ApId{1});
+    EXPECT_EQ(s.epoch, stops.front().epoch);
+  }
 }
 
 TEST_F(ControllerTest, SingleOutstandingSwitch) {
@@ -628,6 +638,7 @@ TEST_F(ControllerTest, ServingApDeathForcesFailoverFromWatermark) {
   // The serving AP dies. The controller cannot run stop -> start through a
   // corpse: it must mint a new epoch and bootstrap AP1 from its own
   // watermark, rewound by failover_replay (100 sent, default replay 32).
+  const std::size_t ap1_log_at_death = ap_log_[1].size();
   answers[0] = false;
   sched_.run_until(Time::ms(55));
   EXPECT_EQ(c.ap_health(ApId{0}).state, Controller::ApLiveness::kDead);
@@ -645,6 +656,17 @@ TEST_F(ControllerTest, ServingApDeathForcesFailoverFromWatermark) {
   const int starts_before_retx = count_to_ap<net::StartMsg>(1);
   sched_.run_until(Time::ms(95));
   EXPECT_GT(count_to_ap<net::StartMsg>(1), starts_before_retx);
+  // Every start to AP1 since the death, retransmissions included, carries
+  // the rewound watermark and the failover's epoch.
+  int starts_since_death = 0;
+  for (std::size_t k = ap1_log_at_death; k < ap_log_[1].size(); ++k) {
+    if (const auto* s = std::get_if<net::StartMsg>(&ap_log_[1][k].second)) {
+      ++starts_since_death;
+      EXPECT_EQ(s->first_unsent_index, (100 - 32) & 0x0fff);
+      EXPECT_EQ(s->epoch, epoch_before + 1);
+    }
+  }
+  EXPECT_GE(starts_since_death, 2);
   ack_from(ApId{1});
   sched_.run_until(Time::ms(100));
   ASSERT_EQ(c.serving_ap(kClient).value(), ApId{1});

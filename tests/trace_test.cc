@@ -228,5 +228,43 @@ TEST(PostmortemTest, WritesFullBundleOnViolation) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(PostmortemTest, MultiDomainBundleReadsOwningController) {
+  // domain_test's boundary crossing: domain 1 ends up owning the client and
+  // serving it, while domain 0 has released it. The bundle must report the
+  // owner's view, the one check_invariants judges.
+  scenario::WgttSystemConfig cfg;
+  cfg.geometry.seed = 1101;
+  cfg.num_domains = 2;
+  scenario::WgttSystem system(cfg);
+  mobility::LineDrive drive(-10.0, 0.0, mph_to_mps(15.0));
+  const int c = system.add_client(&drive);
+  system.start();
+  transport::UdpSource src(
+      system.sched(),
+      [&](net::Packet p) {
+        p.client = net::ClientId{0};
+        system.server_send(std::move(p));
+      },
+      {.rate_mbps = 12.0, .client = net::ClientId{static_cast<unsigned>(c)}});
+  src.start();
+  system.run_until(Time::sec(9));
+  ASSERT_EQ(system.owner_domain(c), 1);
+  const int serving = system.serving_ap(c);
+  ASSERT_GE(serving, 0);
+
+  const std::string dir =
+      ::testing::TempDir() + "wgtt_postmortem_domains_test";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(write_postmortem(dir, system, scenario::InvariantReport{},
+                               nullptr, nullptr));
+  std::ifstream in(dir + "/clients.txt");
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("client 0 serving " + std::to_string(serving) + " "),
+            std::string::npos)
+      << buf.str();
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace wgtt::trace
