@@ -253,7 +253,6 @@ DriveResult run_drive(const DriveConfig& cfg) {
                      const mac::Frame& f, bool decoded,
                      const channel::CsiMeasurement& csi) {
       if (prev) prev(f, decoded, csi);
-      if (!decoded) return;
       if (const auto* df = std::get_if<mac::DataFrame>(&f.body)) {
         result.bitrate_mbps_samples.push_back(
             phy::mcs_info(df->mcs).data_rate_mbps);
@@ -385,9 +384,9 @@ DriveResult run_drive(const DriveConfig& cfg) {
       ++probe_total[static_cast<std::size_t>(i)];
       if (serving == optimal) ++probe_match[static_cast<std::size_t>(i)];
     }
-    sched->schedule_in(cfg.accuracy_probe, probe);
+    sched->schedule_in(cfg.accuracy_probe, probe, sim::EventCategory::kChannel);
   };
-  sched->schedule_in(cfg.accuracy_probe, probe);
+  sched->schedule_in(cfg.accuracy_probe, probe, sim::EventCategory::kChannel);
 
   // --- observability ----------------------------------------------------------------
   // Attached after every other hook consumer so the tracer/timeline chain
@@ -425,8 +424,10 @@ DriveResult run_drive(const DriveConfig& cfg) {
     }
     timeline->start();
   }
-  sim::EventProfiler profiler;
-  if (cfg.profile && wgtt) sched->set_profiler(&profiler);
+  // Constructed only when asked for: the first profiler in a process
+  // calibrates the tick scale (a ~2 ms spin).
+  std::optional<sim::EventProfiler> profiler;
+  if (cfg.profile && wgtt) sched->set_profiler(&profiler.emplace());
 
   // --- run --------------------------------------------------------------------------
   const auto wall_start = std::chrono::steady_clock::now();
@@ -439,7 +440,7 @@ DriveResult run_drive(const DriveConfig& cfg) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  if (cfg.profile && wgtt) sched->set_profiler(nullptr);
+  if (profiler) sched->set_profiler(nullptr);
 
   // --- collect ------------------------------------------------------------------------
   scenario::InvariantReport invariants;
@@ -545,13 +546,13 @@ DriveResult run_drive(const DriveConfig& cfg) {
                  : 0.0);
   }
 
-  if (cfg.profile && wgtt) {
+  if (profiler) {
     // Wall-clock breakdown, opt-in only (record_perf rule).
     if (!result.metrics) result.metrics = std::make_shared<obs::MetricsRegistry>();
-    profiler.flush_to(*result.metrics);
+    profiler->flush_to(*result.metrics);
     result.metrics->gauge("sim.profile.wall_coverage")
         .set(wall_s > 0.0
-                 ? static_cast<double>(profiler.total_ns()) / 1e9 / wall_s
+                 ? static_cast<double>(profiler->total_ns()) / 1e9 / wall_s
                  : 0.0);
   }
 

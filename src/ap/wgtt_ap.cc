@@ -33,9 +33,9 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
     backhaul_.send(NodeId::ap(id_), controller_node_,
                    net::UplinkData{id_, pkt});
   };
-  mac_.on_heard = [this](const mac::Frame& f, bool decoded,
+  mac_.on_heard = [this](const mac::Frame& f, bool,
                          const channel::CsiMeasurement& csi) {
-    on_heard(f, decoded, csi);
+    on_heard(f, csi);
   };
   mac_.on_mpdu_acked = [this](mac::RadioId peer, std::uint16_t, const net::Packet&) {
     auto it = client_of_radio_.find(peer);
@@ -450,9 +450,8 @@ void WgttAp::handle_ba_forward(const net::BlockAckForward& msg) {
   mac_.inject_block_ack(cs->radio, ba);
 }
 
-void WgttAp::on_heard(const mac::Frame& frame, bool decoded,
+void WgttAp::on_heard(const mac::Frame& frame,
                       const channel::CsiMeasurement& csi) {
-  if (!decoded) return;
   auto it = client_of_radio_.find(frame.from);
   if (it == client_of_radio_.end()) return;
   const net::ClientId client = it->second;

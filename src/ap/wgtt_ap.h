@@ -223,8 +223,7 @@ class WgttAp {
   void handle_stop(const net::StopMsg& msg);
   void handle_start(const net::StartMsg& msg);
   void handle_ba_forward(const net::BlockAckForward& msg);
-  void on_heard(const mac::Frame& frame, bool decoded,
-                const channel::CsiMeasurement& csi);
+  void on_heard(const mac::Frame& frame, const channel::CsiMeasurement& csi);
   void pump(ClientState& cs);
   void pump_all();
   /// Single point through which cs.serving ever changes, keeping the sorted

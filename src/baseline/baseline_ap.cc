@@ -27,10 +27,8 @@ BaselineAp::BaselineAp(net::ApId id, sim::Scheduler& sched,
   mac_.on_mgmt = [this](mac::RadioId from, mac::MgmtFrame f) {
     handle_mgmt(from, f);
   };
-  mac_.on_heard = [this](const mac::Frame& f, bool decoded,
-                         const channel::CsiMeasurement& csi) {
-    on_heard(f, decoded, csi);
-  };
+  mac_.on_heard = [this](const mac::Frame& f, bool,
+                         const channel::CsiMeasurement&) { on_heard(f); };
   mac_.on_mpdu_acked = [this](mac::RadioId peer, std::uint16_t,
                               const net::Packet&) {
     auto it = client_of_radio_.find(peer);
@@ -133,9 +131,7 @@ void BaselineAp::set_ap_directory(
   ap_of_radio_ = std::move(ap_of_radio);
 }
 
-void BaselineAp::on_heard(const mac::Frame& frame, bool decoded,
-                          const channel::CsiMeasurement& /*csi*/) {
-  if (!decoded) return;
+void BaselineAp::on_heard(const mac::Frame& frame) {
   // ViFi-style salvage: overheard uplink data for another AP's client is
   // tunnelled to the router, which de-duplicates.
   if (salvage_uplink_ && frame.to != mac_.radio()) {

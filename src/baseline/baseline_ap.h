@@ -79,8 +79,7 @@ class BaselineAp {
 
   void handle_backhaul(net::NodeId from, net::BackhaulMessage msg);
   void handle_mgmt(mac::RadioId from, mac::MgmtFrame frame);
-  void on_heard(const mac::Frame& frame, bool decoded,
-                const channel::CsiMeasurement& csi);
+  void on_heard(const mac::Frame& frame);
   void accept_association(net::ClientId client);
   void pump(ClientState& cs);
   void pump_all();

@@ -16,9 +16,9 @@ BaselineClient::BaselineClient(net::ClientId id, sim::Scheduler& sched,
   mac_.on_deliver = [this](mac::RadioId, const net::Packet& p) {
     if (on_downlink) on_downlink(p);
   };
-  mac_.on_heard = [this](const mac::Frame& f, bool decoded,
+  mac_.on_heard = [this](const mac::Frame& f, bool,
                          const channel::CsiMeasurement& csi) {
-    on_heard(f, decoded, csi);
+    on_heard(f, csi);
   };
   mac_.on_mgmt = [this](mac::RadioId from, mac::MgmtFrame f) {
     if (f.kind == mac::MgmtFrame::Kind::kAssocResp) on_assoc_resp(from);
@@ -52,9 +52,8 @@ void BaselineClient::send_uplink(net::Packet packet) {
   mac_.enqueue(*serving_, std::move(packet));
 }
 
-void BaselineClient::on_heard(const mac::Frame& frame, bool decoded,
+void BaselineClient::on_heard(const mac::Frame& frame,
                               const channel::CsiMeasurement& csi) {
-  if (!decoded) return;
   if (!std::holds_alternative<mac::BeaconFrame>(frame.body)) return;
   auto [it, inserted] =
       aps_.try_emplace(frame.from, ApRecord{Ewma{config_.rssi_ewma_alpha},

@@ -86,8 +86,7 @@ class BaselineClient {
     Time blacklist_until = Time::zero();
   };
 
-  void on_heard(const mac::Frame& frame, bool decoded,
-                const channel::CsiMeasurement& csi);
+  void on_heard(const mac::Frame& frame, const channel::CsiMeasurement& csi);
   void evaluate();
   void begin_association(mac::RadioId target);
   void send_assoc_req();

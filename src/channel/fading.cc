@@ -60,6 +60,10 @@ std::complex<double> SpatialTap::gain(Vec2 pos, Time t) const {
   return {re, im};
 }
 
+double SpatialTap::peak_magnitude() const {
+  return amplitude_ * static_cast<double>(kx_.size());
+}
+
 TappedDelayChannel::TappedDelayChannel(const Config& config, Rng& rng) {
   if (config.num_taps <= 0) throw std::invalid_argument("need at least one tap");
   // Rician K: power ratio of the LoS component to all scattered power.
@@ -146,6 +150,12 @@ CsiSnapshot TappedDelayChannel::csi(Vec2 pos, Time t) const {
                                               acc_im[i] + los_im};
   }
   return out;
+}
+
+double TappedDelayChannel::peak_magnitude() const {
+  double bound = los_amplitude_;
+  for (const auto& tap : taps_) bound += tap.amplitude * tap.field.peak_magnitude();
+  return bound;
 }
 
 std::complex<double> TappedDelayChannel::flat_gain(Vec2 pos, Time t) const {

@@ -59,6 +59,10 @@ class SpatialTap {
 
   [[nodiscard]] int num_sinusoids() const { return static_cast<int>(kx_.size()); }
 
+  /// Upper bound on |gain()| anywhere, any time: the sum of the component
+  /// amplitudes (triangle inequality), i.e. sqrt(M) for M sinusoids.
+  [[nodiscard]] double peak_magnitude() const;
+
  private:
   std::vector<double> kx_, ky_;  // spatial wavevector (rad/m)
   std::vector<double> omega_;    // temporal angular rate (rad/s)
@@ -96,6 +100,11 @@ class TappedDelayChannel {
   [[nodiscard]] std::complex<double> flat_gain(Vec2 pos, Time t) const;
 
   [[nodiscard]] int num_taps() const { return static_cast<int>(taps_.size()); }
+
+  /// Upper bound on every csi() gain magnitude at any position and time:
+  /// |LoS| + sum over taps of amplitude * SpatialTap::peak_magnitude(), by
+  /// the triangle inequality (the subcarrier rotations have unit modulus).
+  [[nodiscard]] double peak_magnitude() const;
 
  private:
   struct Tap {

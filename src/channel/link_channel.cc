@@ -1,8 +1,18 @@
 #include "channel/link_channel.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace wgtt::channel {
+
+namespace {
+/// measure()'s per-subcarrier fade floor (-40 dB), linear power.
+constexpr double kFadeFloor = 1e-4;
+/// Covers the rounding in measure()'s power and dB arithmetic: one tap with
+/// one sinusoid can line up with the LoS and meet the bound to within
+/// rounding (seen 4e-14 dB from it).
+constexpr double kCeilingSlackDb = 1e-6;
+}  // namespace
 
 LinkChannel::LinkChannel(Vec2 ap_position, Vec2 boresight_target,
                          const Config& config, Rng& rng)
@@ -14,7 +24,10 @@ LinkChannel::LinkChannel(Vec2 ap_position, Vec2 boresight_target,
       pathloss_(config.pathloss_exponent),
       shadowing_(config.shadowing_sigma_db, config.shadowing_decorrelation_m,
                  rng.next_u64()),
-      fading_(config.fading, rng) {}
+      fading_(config.fading, rng),
+      fade_ceiling_db_(std::max(20.0 * std::log10(fading_.peak_magnitude()),
+                                to_db(kFadeFloor)) +
+                       kCeilingSlackDb) {}
 
 double LinkChannel::large_scale_rx_dbm(Vec2 client_pos) const {
   const auto& b = config_.budget;
@@ -42,12 +55,12 @@ CsiMeasurement LinkChannel::measure(Vec2 client_pos, Time t) const {
     mean_power += p;
     // Floor the per-subcarrier fade at -40 dB to keep the dB math finite in
     // a deep null.
-    const double snr_db = base_snr_db + to_db(std::max(p, 1e-4));
+    const double snr_db = base_snr_db + to_db(std::max(p, kFadeFloor));
     m.subcarrier_snr_db[i] = snr_db;
     mean_snr_lin += from_db(snr_db);
   }
   mean_power /= static_cast<double>(snap.gains.size());
-  m.rssi_dbm = rx_dbm + to_db(std::max(mean_power, 1e-4));
+  m.rssi_dbm = rx_dbm + to_db(std::max(mean_power, kFadeFloor));
   m.mean_snr_db = to_db(mean_snr_lin / static_cast<double>(snap.gains.size()));
   return m;
 }

@@ -72,6 +72,13 @@ class LinkChannel {
   /// Mean SNR over fading, dB (large-scale only).
   [[nodiscard]] double large_scale_snr_db(Vec2 client_pos) const;
 
+  /// Upper bound on every subcarrier SNR measure(client_pos, t) can report,
+  /// at any t: large-scale SNR plus the fade ceiling, a per-link constant
+  /// (DESIGN.md §14). Costs a large-scale evaluation, no CSI synthesis.
+  [[nodiscard]] double snr_ceiling_db(Vec2 client_pos) const {
+    return large_scale_snr_db(client_pos) + fade_ceiling_db_;
+  }
+
   [[nodiscard]] Vec2 ap_position() const { return ap_position_; }
   [[nodiscard]] const LinkBudget& budget() const { return config_.budget; }
 
@@ -82,6 +89,9 @@ class LinkChannel {
   LogDistancePathLoss pathloss_;
   ShadowField shadowing_;
   TappedDelayChannel fading_;
+  /// max(20 log10 of the fading's peak magnitude, measure()'s -40 dB fade
+  /// floor) plus rounding slack.
+  double fade_ceiling_db_ = 0.0;
 };
 
 }  // namespace wgtt::channel

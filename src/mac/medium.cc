@@ -108,7 +108,8 @@ void Medium::deliver(std::size_t r, const Frame& frame) {
     }
   }
   if (self == nullptr || !audible(*self, pos, ch)) return;
-  const double own_dbm = power_ ? power_(frame.from, pos) : 0.0;
+  // This frame's own power matters only against an overlapping one.
+  std::optional<double> own_dbm;
   for (const auto& f : in_flight_) {
     if (f.uid == frame.tx_uid) continue;
     const bool overlaps = f.start < self->end && f.end > self->start;
@@ -116,8 +117,9 @@ void Medium::deliver(std::size_t r, const Frame& frame) {
     if (power_) {
       // Capture effect: the frame survives if it is decisively
       // stronger than the interferer at this listener.
+      if (!own_dbm) own_dbm = power_(frame.from, pos);
       const double other_dbm = power_(f.from, pos);
-      if (own_dbm >= other_dbm + config_.capture_threshold_db) continue;
+      if (*own_dbm >= other_dbm + config_.capture_threshold_db) continue;
     }
     collided = true;
     break;

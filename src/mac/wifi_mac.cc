@@ -1,6 +1,7 @@
 #include "mac/wifi_mac.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -12,20 +13,13 @@ namespace {
 /// Block ACKs are sent at the 24 Mbit/s legacy control rate (16-QAM 1/2):
 /// fast, but fragile near cell edges — which is why the paper forwards
 /// overheard BAs between APs (§3.2.1).
-double ba_decode_probability(const channel::CsiMeasurement& csi) {
-  const double esnr =
-      phy::effective_snr_db(csi.subcarrier_snr_db, phy::Modulation::kQam16);
-  return phy::mpdu_delivery_probability(esnr, phy::Mcs::kMcs3, 32);
-}
-
+constexpr phy::Mcs kBlockAckMcs = phy::Mcs::kMcs3;
+constexpr std::size_t kBlockAckBytes = 32;
 /// Beacons and management frames go at the 1 Mbit/s basic rate: slow and
 /// very robust (decodable well past the data-usable range).
-double mgmt_decode_probability(const channel::CsiMeasurement& csi,
-                               std::size_t bytes) {
-  const double esnr =
-      phy::effective_snr_db(csi.subcarrier_snr_db, phy::Modulation::kBpsk);
-  return phy::mpdu_delivery_probability(esnr, phy::Mcs::kMcs0, bytes);
-}
+constexpr phy::Mcs kMgmtMcs = phy::Mcs::kMcs0;
+constexpr std::size_t kBeaconBytes = 300;
+constexpr std::size_t kMgmtBytes = 96;
 }  // namespace
 
 WifiMac::WifiMac(sim::Scheduler& sched, Medium& medium, Rng rng, Config config)
@@ -410,17 +404,50 @@ void WifiMac::send_block_ack(RadioId to, const BaBitmap& ba,
   }, sim::EventCategory::kMacTx);
 }
 
+WifiMac::RxDecode WifiMac::start_decode(RadioId from, phy::Mcs mcs) const {
+  const double snr_ceiling_db =
+      ceiling_ ? ceiling_(from) : std::numeric_limits<double>::infinity();
+  RxDecode rx;
+  rx.from = from;
+  rx.mcs = mcs;
+  rx.esnr_ceiling_db =
+      phy::esnr_ceiling_db(snr_ceiling_db, phy::mcs_info(mcs).modulation);
+  return rx;
+}
+
+bool WifiMac::decode_draw(RxDecode& rx, std::size_t bytes) {
+  const auto p = [&] {
+    if (!rx.csi) {
+      rx.csi = sampler_(rx.from);
+      rx.esnr_db = phy::effective_snr_db(rx.csi->subcarrier_snr_db,
+                                         phy::mcs_info(rx.mcs).modulation);
+    }
+    return phy::mpdu_delivery_probability(rx.esnr_db, rx.mcs, bytes);
+  };
+  if (rx.csi) return rng_.chance(p());
+  // ESNR lies in [-30 dB, esnr_ceiling_db] and delivery probability rises
+  // with it, so p(-30 dB) <= p <= p(ceiling): the draw may be settled
+  // before any CSI exists (DESIGN.md §14).
+  if (bytes != rx.bounds_bytes) {
+    rx.bounds_bytes = bytes;
+    rx.p_floor =
+        phy::mpdu_delivery_probability(phy::kEsnrFloorDb, rx.mcs, bytes);
+    rx.p_ceiling =
+        phy::mpdu_delivery_probability(rx.esnr_ceiling_db, rx.mcs, bytes);
+  }
+  return rng_.chance_bounded(rx.p_floor, rx.p_ceiling, p);
+}
+
 void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
   if (!sampler_) return;
   const bool addressed =
       frame.to == radio_ || (config_.accept_bssid && frame.to == kBssidWgtt) ||
       frame.to == kBroadcast;
   if (!addressed) {
-    // Skip uninteresting overheard traffic before the channel sampling.
+    // Skip uninteresting overheard traffic before any decode work.
     if (!on_heard) return;
     if (interest_ && !interest_(frame.from)) return;
   }
-  const channel::CsiMeasurement csi = sampler_(frame.from);
 
   if (addressed && std::holds_alternative<BlockAckFrame>(frame.body)) {
     ++ba_heard_;
@@ -430,29 +457,24 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
       if (ctx.collided) metrics_->ba_collisions->inc();
     }
   }
-
-  if (ctx.collided) {
-    if (on_heard) on_heard(frame, false, csi);
-    return;
-  }
+  // A collided frame draws nothing and reaches no handler.
+  if (ctx.collided) return;
 
   if (const auto* df = std::get_if<DataFrame>(&frame.body)) {
     // Per-MPDU decode draws from this receiver's own channel realization.
-    const double esnr = phy::effective_snr_db(
-        csi.subcarrier_snr_db, phy::mcs_info(df->mcs).modulation);
+    RxDecode rx = start_decode(frame.from, df->mcs);
     std::vector<std::uint16_t> decoded;
     decoded.reserve(df->mpdus.size());
     for (const auto& m : df->mpdus) {
-      const double pr = phy::mpdu_delivery_probability(
-          esnr, df->mcs, m.packet.air_bytes());
-      if (rng_.chance(pr)) decoded.push_back(m.seq);
+      if (decode_draw(rx, m.packet.air_bytes())) decoded.push_back(m.seq);
     }
+    if (decoded.empty()) return;
 
-    if (on_heard) on_heard(frame, !decoded.empty(), csi);
+    if (on_heard) on_heard(frame, true, *rx.csi);
 
     if (!addressed) return;
 
-    if (!decoded.empty() && df->needs_block_ack) {
+    if (df->needs_block_ack) {
       const BaBitmap ba =
           BaBitmap::from_decoded(df->mpdus.front().seq, decoded);
       Peer* p = peers_.contains(frame.from) ? &peer_of(frame.from) : nullptr;
@@ -486,9 +508,10 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
   }
 
   if (const auto* baf = std::get_if<BlockAckFrame>(&frame.body)) {
-    const bool ok = rng_.chance(ba_decode_probability(csi));
-    if (on_heard) on_heard(frame, ok, csi);
-    if (!ok || !addressed) return;
+    RxDecode rx = start_decode(frame.from, kBlockAckMcs);
+    if (!decode_draw(rx, kBlockAckBytes)) return;
+    if (on_heard) on_heard(frame, true, *rx.csi);
+    if (!addressed) return;
     BaBitmap ba;
     ba.start_seq = baf->start_seq;
     ba.bits = baf->bitmap;
@@ -505,15 +528,16 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
   }
 
   if (std::holds_alternative<BeaconFrame>(frame.body)) {
-    const bool ok = rng_.chance(mgmt_decode_probability(csi, 300));
-    if (on_heard) on_heard(frame, ok, csi);
+    RxDecode rx = start_decode(frame.from, kMgmtMcs);
+    if (decode_draw(rx, kBeaconBytes) && on_heard) on_heard(frame, true, *rx.csi);
     return;
   }
 
   if (const auto* mf = std::get_if<MgmtFrame>(&frame.body)) {
-    const bool ok = rng_.chance(mgmt_decode_probability(csi, 96));
-    if (on_heard) on_heard(frame, ok, csi);
-    if (ok && addressed && on_mgmt) on_mgmt(frame.from, *mf);
+    RxDecode rx = start_decode(frame.from, kMgmtMcs);
+    if (!decode_draw(rx, kMgmtBytes)) return;
+    if (on_heard) on_heard(frame, true, *rx.csi);
+    if (addressed && on_mgmt) on_mgmt(frame.from, *mf);
     return;
   }
 }

@@ -78,6 +78,11 @@ class WifiMac {
   /// by the owner, which knows the geometry. Used both for decode draws on
   /// reception and (transmit side) for ESNR-driven rate control.
   using SampleFn = std::function<channel::CsiMeasurement(RadioId peer)>;
+  /// Upper bound, in dB, on every subcarrier SNR the sampler can return for
+  /// `peer` at now. A decode draw this bound already settles needs no CSI
+  /// (DESIGN.md §14), so an over-tight bound changes results; a loose one
+  /// only costs syntheses.
+  using CeilingFn = std::function<double(RadioId peer)>;
 
   WifiMac(sim::Scheduler& sched, Medium& medium, Rng rng, Config config);
 
@@ -86,7 +91,12 @@ class WifiMac {
   RadioId attach(Medium::PositionFn position);
   [[nodiscard]] RadioId radio() const { return radio_; }
 
-  void set_channel_sampler(SampleFn sampler) { sampler_ = std::move(sampler); }
+  /// Wires the sampler and, beside it, its SNR ceiling. Without a ceiling
+  /// the bound is +inf, and every decode draw synthesises CSI first.
+  void set_channel_sampler(SampleFn sampler, CeilingFn ceiling = {}) {
+    sampler_ = std::move(sampler);
+    ceiling_ = std::move(ceiling);
+  }
 
   /// Optional receive filter: frames from radios for which this returns
   /// false and that are not addressed to us are discarded before the
@@ -135,6 +145,9 @@ class WifiMac {
   /// arrived garbled by a collision (the paper's Table 3 numerator).
   [[nodiscard]] std::uint64_t ba_frames_heard() const { return ba_heard_; }
   [[nodiscard]] std::uint64_t ba_frames_collided() const { return ba_collided_; }
+  /// This radio's random stream (decode draws, backoff, BA jitter); tests
+  /// compare streams through it.
+  [[nodiscard]] const Rng& rng() const { return rng_; }
 
   /// Registers and starts recording `<component>.*` metrics (A-MPDU sizes,
   /// retransmissions, BA merges/collisions, hardware-queue depth). The
@@ -147,9 +160,12 @@ class WifiMac {
   /// A decoded, non-duplicate data MPDU addressed to this radio (or its
   /// BSSID).
   std::function<void(RadioId from, const net::Packet&)> on_deliver;
-  /// Every audible frame, addressed or not, after the decode draw; `csi` is
-  /// the measurement used (valid only during the call). Monitor-mode hook:
-  /// CSI extraction and BA overhearing plug in here.
+  /// Once per decoded audible frame, addressed or not, after its decode
+  /// draws: a data frame counts as decoded when any MPDU is. `csi` is the
+  /// measurement the draws used (valid only during the call). Never called
+  /// for a collided or undecoded frame, whose CSI is not synthesised, so
+  /// `decoded` is always true; the parameter stays for existing hooks.
+  /// Monitor-mode hook: CSI extraction and BA overhearing plug in here.
   std::function<void(const Frame&, bool decoded,
                      const channel::CsiMeasurement& csi)>
       on_heard;
@@ -182,6 +198,20 @@ class WifiMac {
     RadioId peer{};
     FrameBody body;
   };
+  /// One received frame's decode state: its CSI and ESNR are synthesised
+  /// at most once, and only when the ceiling cannot settle a draw.
+  struct RxDecode {
+    RadioId from{};
+    phy::Mcs mcs{};
+    double esnr_ceiling_db = 0.0;
+    std::optional<channel::CsiMeasurement> csi;
+    double esnr_db = 0.0;
+    /// Delivery-probability bounds for MPDUs of `bounds_bytes` (an
+    /// aggregate's MPDUs mostly share one size).
+    std::size_t bounds_bytes = 0;
+    double p_floor = 0.0;
+    double p_ceiling = 0.0;
+  };
 
   Peer& peer_of(RadioId id);
   const Peer* find_peer(RadioId id) const;
@@ -194,6 +224,10 @@ class WifiMac {
   void on_ba_timeout();
   void process_ba(RadioId from, const BaBitmap& ba, bool forwarded);
   void handle_rx(const Frame& frame, const Medium::RxContext& ctx);
+  [[nodiscard]] RxDecode start_decode(RadioId from, phy::Mcs mcs) const;
+  /// Decode draw for one `bytes`-long MPDU of the frame: the stream and
+  /// outcome of rng_.chance(p) on its exact delivery probability p.
+  bool decode_draw(RxDecode& rx, std::size_t bytes);
   void send_block_ack(RadioId to, const BaBitmap& ba, std::uint64_t acked_uid);
   [[nodiscard]] RadioId pick_next_data_peer();
   [[nodiscard]] bool peer_has_eligible(const Peer& p) const;
@@ -206,6 +240,7 @@ class WifiMac {
   Config config_;
   RadioId radio_{0xffffffff};
   SampleFn sampler_;
+  CeilingFn ceiling_;
   std::function<bool(RadioId)> interest_;
 
   std::unordered_map<RadioId, Peer> peers_;

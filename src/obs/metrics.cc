@@ -80,17 +80,6 @@ void Histogram::observe(double x) {
   slot(x).fetch_add(1, std::memory_order_relaxed);
 }
 
-void Histogram::observe_single_writer(double x) {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  const std::uint64_t before = count_.load(kRelaxed);
-  count_.store(before + 1, kRelaxed);
-  sum_.store(sum_.load(kRelaxed) + x, kRelaxed);
-  if (before == 0 || x < min_.load(kRelaxed)) min_.store(x, kRelaxed);
-  if (before == 0 || x > max_.load(kRelaxed)) max_.store(x, kRelaxed);
-  std::atomic<std::uint64_t>& s = slot(x);
-  s.store(s.load(kRelaxed) + 1, kRelaxed);
-}
-
 std::atomic<std::uint64_t>& Histogram::slot(double x) {
   if (x < lo_) return underflow_;
   if (x >= hi_) return overflow_;
@@ -146,29 +135,39 @@ double Histogram::percentile(double q) const {
   return std::clamp(result, mn, mx);
 }
 
+void Histogram::add_binned(std::uint64_t underflow,
+                           std::span<const std::uint64_t> buckets,
+                           std::uint64_t overflow, double sum, double min,
+                           double max) {
+  if (buckets.size() != buckets_.size()) return;
+  std::uint64_t n = underflow + overflow;
+  for (const std::uint64_t b : buckets) n += b;
+  if (n == 0) return;
+  const std::uint64_t before = count_.fetch_add(n, std::memory_order_relaxed);
+  atomic_add(sum_, sum);
+  if (before == 0) {
+    min_.store(min, std::memory_order_relaxed);
+    max_.store(max, std::memory_order_relaxed);
+  } else {
+    atomic_min(min_, min);
+    atomic_max(max_, max);
+  }
+  underflow_.fetch_add(underflow, std::memory_order_relaxed);
+  overflow_.fetch_add(overflow, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+  }
+}
+
 void Histogram::merge_from(const Histogram& other) {
-  if (other.count() == 0) return;
   if (other.lo_ != lo_ || other.hi_ != hi_ ||
       other.buckets_.size() != buckets_.size()) {
     return;  // incompatible layout: keep ours untouched
   }
-  const std::uint64_t before = count_.load(std::memory_order_relaxed);
-  const double other_min = other.min();
-  const double other_max = other.max();
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  atomic_add(sum_, other.sum());
-  if (before == 0) {
-    min_.store(other_min, std::memory_order_relaxed);
-    max_.store(other_max, std::memory_order_relaxed);
-  } else {
-    atomic_min(min_, other_min);
-    atomic_max(max_, other_max);
-  }
-  underflow_.fetch_add(other.underflow(), std::memory_order_relaxed);
-  overflow_.fetch_add(other.overflow(), std::memory_order_relaxed);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].fetch_add(other.bucket_count(i), std::memory_order_relaxed);
-  }
+  std::vector<std::uint64_t> counts(buckets_.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) counts[i] = other.bucket_count(i);
+  add_binned(other.underflow(), counts, other.overflow(), other.sum(),
+             other.min(), other.max());
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,11 +63,14 @@ class Histogram {
 
   void observe(double x);
 
-  /// observe() for a histogram that one thread at a time writes, such as
-  /// the event profiler's: the same update from plain atomic loads and
-  /// stores, without the locked read-modify-writes. Concurrent writers
-  /// would lose samples.
-  void observe_single_writer(double x);
+  /// Adds samples binned elsewhere against this histogram's layout:
+  /// `underflow` more below lo(), `buckets[i]` more in bucket i (one entry
+  /// per bucket, else ignored), `overflow` more at or above hi(), whose
+  /// values total `sum` and span [min, max]. The event profiler counts
+  /// integer buckets per event and folds them in here.
+  void add_binned(std::uint64_t underflow,
+                  std::span<const std::uint64_t> buckets,
+                  std::uint64_t overflow, double sum, double min, double max);
 
   [[nodiscard]] std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);

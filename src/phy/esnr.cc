@@ -105,6 +105,23 @@ double effective_snr_db(std::span<const double> subcarrier_snr_db,
   return to_db(snr_for_ber(m, mean_ber));
 }
 
+double esnr_ceiling_db(double max_subcarrier_snr_db, Modulation m) {
+  // Mean BER >= BER(best subcarrier) and the inverse map is monotone, so
+  // the result is at most the best subcarrier's SNR, raised to
+  // snr_for_ber's floor. (Its 60 dB cap only lowers the result; leaving it
+  // out keeps an infinite input meaning no bound.) The slack covers the
+  // closed-form inverse's 1e-12 relative error, which can put a flat
+  // channel's ESNR a few 1e-12 dB above its SNR.
+  constexpr double kSlackDb = 1e-9;
+  const double ceiling = std::max(max_subcarrier_snr_db, kEsnrFloorDb) + kSlackDb;
+  // The 45 dB return needs a mean BER below 1e-12, so BER(best) below it
+  // too; 2e-12 is margin for the mean's rounding.
+  if (bit_error_rate(m, from_db(max_subcarrier_snr_db)) < 2e-12) {
+    return std::max(ceiling, 45.0);
+  }
+  return ceiling;
+}
+
 double esnr_metric_db(std::span<const double> subcarrier_snr_db) {
   return effective_snr_db(subcarrier_snr_db, Modulation::kQam64);
 }

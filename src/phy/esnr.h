@@ -33,6 +33,17 @@ namespace wgtt::phy {
 [[nodiscard]] double effective_snr_db(std::span<const double> subcarrier_snr_db,
                                       Modulation m);
 
+/// The lowest value effective_snr_db returns: snr_for_ber's -30 dB floor.
+inline constexpr double kEsnrFloorDb = -30.0;
+
+/// Upper bound on effective_snr_db(csi, m) over every CSI whose subcarrier
+/// SNRs are all at most `max_subcarrier_snr_db` (DESIGN.md §14). ESNR never
+/// exceeds the best subcarrier's SNR, except through its clamps: the 45 dB
+/// return for a near-zero mean BER and snr_for_ber's -30 dB floor. +inf in
+/// gives +inf out.
+[[nodiscard]] double esnr_ceiling_db(double max_subcarrier_snr_db,
+                                     Modulation m);
+
 /// The scalar link metric WGTT's controller tracks: ESNR evaluated for
 /// 64-QAM. The highest-order modulation keeps discriminating between links
 /// deep into the SNR range where lower orders' BER saturates to zero — a

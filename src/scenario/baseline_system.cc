@@ -17,9 +17,13 @@ BaselineSystem::BaselineSystem(const BaselineSystemConfig& config)
         ap_id, sched_, medium_, backhaul_, rng_.fork(), config_.ap,
         [this, i] { return geometry_.ap_position(i); });
     ap_idx_of_radio_[ap->mac().radio()] = i;
-    ap->mac().set_channel_sampler([this, i](mac::RadioId peer) {
-      return sample_for_ap(i, peer);
-    });
+    ap->mac().set_channel_sampler(
+        [this, i](mac::RadioId peer) {
+          return geometry_.sample(ap_link(i, peer), sched_.now());
+        },
+        [this, i](mac::RadioId peer) {
+          return geometry_.snr_ceiling_db(ap_link(i, peer), sched_.now());
+        });
     ap->mac().set_interest_filter([this](mac::RadioId from) {
       return client_idx_of_radio_.contains(from);
     });
@@ -69,9 +73,13 @@ int BaselineSystem::add_client(const mobility::Trajectory* trajectory) {
   auto client = std::make_unique<baseline::BaselineClient>(
       cid, sched_, medium_, rng_.fork(), config_.client, trajectory);
   client_idx_of_radio_[client->radio()] = idx;
-  client->mac().set_channel_sampler([this, idx](mac::RadioId peer) {
-    return sample_for_client(idx, peer);
-  });
+  client->mac().set_channel_sampler(
+      [this, idx](mac::RadioId peer) {
+        return geometry_.sample(client_link(idx, peer), sched_.now());
+      },
+      [this, idx](mac::RadioId peer) {
+        return geometry_.snr_ceiling_db(client_link(idx, peer), sched_.now());
+      });
   client->mac().set_interest_filter([this](mac::RadioId from) {
     return ap_idx_of_radio_.contains(from);
   });
@@ -103,30 +111,18 @@ int BaselineSystem::serving_ap(int client) const {
   return ap ? static_cast<int>(net::index_of(*ap)) : -1;
 }
 
-channel::CsiMeasurement BaselineSystem::fallback_csi() const {
-  channel::CsiMeasurement m;
-  m.when = sched_.now();
-  m.subcarrier_snr_db.fill(0.0);
-  m.rssi_dbm = -94.0;
-  m.mean_snr_db = 0.0;
-  return m;
-}
-
-channel::CsiMeasurement BaselineSystem::sample_for_ap(int ap,
-                                                      mac::RadioId peer) {
+std::optional<LinkIndex> BaselineSystem::ap_link(int ap,
+                                                 mac::RadioId peer) const {
   auto it = client_idx_of_radio_.find(peer);
-  if (it == client_idx_of_radio_.end()) return fallback_csi();
-  const int c = it->second;
-  return geometry_.link(ap, c).measure(
-      geometry_.client_position(c, sched_.now()), sched_.now());
+  if (it == client_idx_of_radio_.end()) return std::nullopt;
+  return LinkIndex{ap, it->second};
 }
 
-channel::CsiMeasurement BaselineSystem::sample_for_client(int client,
-                                                          mac::RadioId peer) {
+std::optional<LinkIndex> BaselineSystem::client_link(int client,
+                                                     mac::RadioId peer) const {
   auto it = ap_idx_of_radio_.find(peer);
-  if (it == ap_idx_of_radio_.end()) return fallback_csi();
-  return geometry_.link(it->second, client)
-      .measure(geometry_.client_position(client, sched_.now()), sched_.now());
+  if (it == ap_idx_of_radio_.end()) return std::nullopt;
+  return LinkIndex{it->second, client};
 }
 
 }  // namespace wgtt::scenario

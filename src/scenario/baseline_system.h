@@ -60,10 +60,13 @@ class BaselineSystem {
   [[nodiscard]] int serving_ap(int client) const;
 
  private:
-  [[nodiscard]] channel::CsiMeasurement sample_for_ap(int ap, mac::RadioId peer);
-  [[nodiscard]] channel::CsiMeasurement sample_for_client(int client,
-                                                          mac::RadioId peer);
-  [[nodiscard]] channel::CsiMeasurement fallback_csi() const;
+  /// The link AP `ap` samples toward radio `peer`; nullopt unless `peer`
+  /// is a client.
+  [[nodiscard]] std::optional<LinkIndex> ap_link(int ap, mac::RadioId peer) const;
+  /// The link client `client` samples toward radio `peer`; nullopt unless
+  /// `peer` is an AP.
+  [[nodiscard]] std::optional<LinkIndex> client_link(int client,
+                                                     mac::RadioId peer) const;
 
   BaselineSystemConfig config_;
   Rng rng_;

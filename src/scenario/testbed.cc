@@ -99,6 +99,23 @@ int TestbedGeometry::optimal_ap(int client, Time now) const {
   return best;
 }
 
+channel::CsiMeasurement TestbedGeometry::sample(std::optional<LinkIndex> l,
+                                                Time now) const {
+  if (l) return link(l->ap, l->client).measure(client_position(l->client, now), now);
+  channel::CsiMeasurement m;
+  m.when = now;
+  m.subcarrier_snr_db.fill(0.0);
+  m.rssi_dbm = -94.0;
+  m.mean_snr_db = 0.0;
+  return m;
+}
+
+double TestbedGeometry::snr_ceiling_db(std::optional<LinkIndex> l,
+                                       Time now) const {
+  return l ? link(l->ap, l->client).snr_ceiling_db(client_position(l->client, now))
+           : 0.0;
+}
+
 double TestbedGeometry::large_scale_snr_db(int ap, channel::Vec2 at) const {
   if (channels_.empty()) {
     throw std::logic_error("add a client before sampling the heatmap");

@@ -10,7 +10,9 @@
 // given the same seed.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "channel/link_channel.h"
@@ -45,6 +47,12 @@ struct GeometryConfig {
   bool lazy_links = false;
 };
 
+/// One (AP, client) pair of the channel matrix.
+struct LinkIndex {
+  int ap = 0;
+  int client = 0;
+};
+
 class TestbedGeometry {
  public:
   explicit TestbedGeometry(const GeometryConfig& config);
@@ -76,6 +84,15 @@ class TestbedGeometry {
   /// Large-scale mean SNR (no fast fading), e.g. for the Figure 10 heatmap.
   [[nodiscard]] double large_scale_snr_db(int ap, channel::Vec2 at) const;
 
+  /// What a radio's MAC samples on `link` at `now` (WifiMac's channel
+  /// sampler), and the SNR ceiling it wires beside it. nullopt is a pair the
+  /// geometry does not model (AP-AP, client-client): a weak flat 0 dB
+  /// channel, so decode draws almost always fail, whose ceiling is 0 dB.
+  [[nodiscard]] channel::CsiMeasurement sample(std::optional<LinkIndex> link,
+                                               Time now) const;
+  [[nodiscard]] double snr_ceiling_db(std::optional<LinkIndex> link,
+                                      Time now) const;
+
   [[nodiscard]] const GeometryConfig& config() const { return config_; }
 
  private:
@@ -101,5 +118,38 @@ class TestbedGeometry {
   mutable std::vector<std::vector<std::unique_ptr<channel::LinkChannel>>>
       channels_;
 };
+
+/// One candidate of a pruned argmax: an upper bound on its exact score.
+struct BoundedCandidate {
+  double ceiling = 0.0;
+  int index = 0;
+};
+
+/// The index of the maximal `exact(index)` over `candidates`, ties to the
+/// lower index — a full scan's answer — evaluating `exact` only while a
+/// candidate's ceiling can still reach the best score found. Candidates are
+/// visited by descending ceiling (then ascending index), and the scan stops
+/// at the first ceiling strictly below the best score, so a candidate that
+/// could tie is still evaluated. Reorders `candidates`; -1 when empty.
+template <class Exact>
+int pruned_argmax(std::vector<BoundedCandidate>& candidates, Exact&& exact) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const BoundedCandidate& a, const BoundedCandidate& b) {
+              if (a.ceiling != b.ceiling) return a.ceiling > b.ceiling;
+              return a.index < b.index;
+            });
+  int best = -1;
+  double best_score = 0.0;
+  for (const BoundedCandidate& c : candidates) {
+    if (best >= 0 && c.ceiling < best_score) break;
+    const double score = exact(c.index);
+    if (best < 0 || score > best_score ||
+        (score == best_score && c.index < best)) {
+      best = c.index;
+      best_score = score;
+    }
+  }
+  return best;
+}
 
 }  // namespace wgtt::scenario

@@ -1,7 +1,8 @@
 #include "scenario/wgtt_system.h"
 
 #include <algorithm>
-#include <limits>
+
+#include "phy/esnr.h"
 
 namespace wgtt::scenario {
 namespace {
@@ -65,9 +66,13 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
         [this, i] { return geometry_.ap_position(i); });
     if (config_.use_fanout_pool) ap->set_payload_pool(&payload_pool_);
     ap_idx_of_radio_[ap->mac().radio()] = i;
-    ap->mac().set_channel_sampler([this, i](mac::RadioId peer) {
-      return sample_for_ap(i, peer);
-    });
+    ap->mac().set_channel_sampler(
+        [this, i](mac::RadioId peer) {
+          return geometry_.sample(ap_link(i, peer), sched_.now());
+        },
+        [this, i](mac::RadioId peer) {
+          return geometry_.snr_ceiling_db(ap_link(i, peer), sched_.now());
+        });
     ap->mac().set_interest_filter([this](mac::RadioId from) {
       return client_idx_of_radio_.contains(from);
     });
@@ -145,9 +150,13 @@ int WgttSystem::add_client(const mobility::Trajectory* trajectory) {
   auto client = std::make_unique<core::WgttClient>(
       cid, sched_, medium_, rng_.fork(), config_.client, trajectory);
   client_idx_of_radio_[client->radio()] = idx;
-  client->mac().set_channel_sampler([this, idx](mac::RadioId peer) {
-    return sample_for_client(idx, peer);
-  });
+  client->mac().set_channel_sampler(
+      [this, idx](mac::RadioId peer) {
+        return geometry_.sample(client_link(idx, peer), sched_.now());
+      },
+      [this, idx](mac::RadioId peer) {
+        return geometry_.snr_ceiling_db(client_link(idx, peer), sched_.now());
+      });
   if (metrics_ != nullptr) client->mac().set_metrics(metrics_, "client_mac");
   for (auto& ctrl : controllers_) ctrl->add_client(cid);
   int owner = 0;
@@ -625,15 +634,19 @@ InvariantReport WgttSystem::check_invariants(Time stall_bound,
   return report;
 }
 
-channel::CsiMeasurement WgttSystem::fallback_csi() const {
-  // Channel between two nodes we do not model (AP-AP, client-client):
-  // weak flat channel so decode draws almost always fail.
-  channel::CsiMeasurement m;
-  m.when = sched_.now();
-  m.subcarrier_snr_db.fill(0.0);
-  m.rssi_dbm = -94.0;
-  m.mean_snr_db = 0.0;
-  return m;
+std::optional<LinkIndex> WgttSystem::ap_link(int ap, mac::RadioId peer) const {
+  auto it = client_idx_of_radio_.find(peer);
+  if (it == client_idx_of_radio_.end()) return std::nullopt;
+  return LinkIndex{ap, it->second};
+}
+
+std::optional<LinkIndex> WgttSystem::client_link(int client,
+                                                 mac::RadioId peer) const {
+  // Rate-control query against "the AP": approximate with the nearest.
+  if (peer == mac::kBssidWgtt) return LinkIndex{nearest_ap(client), client};
+  auto it = ap_idx_of_radio_.find(peer);
+  if (it == ap_idx_of_radio_.end()) return std::nullopt;
+  return LinkIndex{it->second, client};
 }
 
 int WgttSystem::nearest_ap(int client) const {
@@ -650,39 +663,18 @@ int WgttSystem::optimal_ap(int client, Time now) const {
   // the accuracy metric's ground-truth choice; when the whole array is out
   // of range the nearest AP is the degenerate answer.
   if (spatial_scratch_.empty()) return spatial_index_.nearest(pos.x);
-  int best = spatial_scratch_.front();
-  double best_esnr = -std::numeric_limits<double>::infinity();
+  // Exact ESNR only while an AP's 64-QAM ESNR ceiling can still reach the
+  // best found (DESIGN.md §14): the answer is the full scan's.
+  probe_scratch_.clear();
   for (const int ap : spatial_scratch_) {
-    const double e = geometry_.esnr_db(ap, client, now);
-    if (e > best_esnr) {
-      best_esnr = e;
-      best = ap;
-    }
+    probe_scratch_.push_back(
+        {phy::esnr_ceiling_db(geometry_.link(ap, client).snr_ceiling_db(pos),
+                              phy::Modulation::kQam64),
+         ap});
   }
-  return best;
-}
-
-channel::CsiMeasurement WgttSystem::sample_for_ap(int ap, mac::RadioId peer) {
-  auto it = client_idx_of_radio_.find(peer);
-  if (it == client_idx_of_radio_.end()) return fallback_csi();
-  const int c = it->second;
-  return geometry_.link(ap, c).measure(geometry_.client_position(c, sched_.now()),
-                                       sched_.now());
-}
-
-channel::CsiMeasurement WgttSystem::sample_for_client(int client,
-                                                      mac::RadioId peer) {
-  int ap = -1;
-  if (peer == mac::kBssidWgtt) {
-    // Rate-control query against "the AP": approximate with the nearest.
-    ap = nearest_ap(client);
-  } else {
-    auto it = ap_idx_of_radio_.find(peer);
-    if (it == ap_idx_of_radio_.end()) return fallback_csi();
-    ap = it->second;
-  }
-  return geometry_.link(ap, client)
-      .measure(geometry_.client_position(client, sched_.now()), sched_.now());
+  return pruned_argmax(probe_scratch_, [&](int ap) {
+    return geometry_.esnr_db(ap, client, now);
+  });
 }
 
 }  // namespace wgtt::scenario

@@ -221,7 +221,10 @@ class WgttSystem {
   /// range (plus margin) is evaluated — an AP the client cannot hear at all
   /// can never be the paper's "optimal AP" — and the nearest AP is the
   /// answer when the neighborhood is empty. Whenever the whole array is in
-  /// range this is exactly TestbedGeometry::optimal_ap.
+  /// range this is exactly TestbedGeometry::optimal_ap. Exact ESNR is
+  /// computed only for APs whose ESNR ceiling can still beat the best found
+  /// (pruned_argmax); the answer is the full scan's, ties to the lower
+  /// index.
   [[nodiscard]] int optimal_ap(int client, Time now) const;
   /// The road-segment index over the AP positions.
   [[nodiscard]] const core::SpatialIndex& spatial_index() const {
@@ -264,10 +267,13 @@ class WgttSystem {
       Time serving_grace = Time::ms(60)) const;
 
  private:
-  [[nodiscard]] channel::CsiMeasurement sample_for_ap(int ap, mac::RadioId peer);
-  [[nodiscard]] channel::CsiMeasurement sample_for_client(int client,
-                                                          mac::RadioId peer);
-  [[nodiscard]] channel::CsiMeasurement fallback_csi() const;
+  /// The link AP `ap` samples toward radio `peer`; nullopt unless `peer`
+  /// is a client.
+  [[nodiscard]] std::optional<LinkIndex> ap_link(int ap, mac::RadioId peer) const;
+  /// The link client `client` samples toward radio `peer` (the nearest AP
+  /// for the shared BSSID); nullopt unless `peer` is an AP.
+  [[nodiscard]] std::optional<LinkIndex> client_link(int client,
+                                                     mac::RadioId peer) const;
   [[nodiscard]] int nearest_ap(int client) const;
   /// Index of route_controller(client).
   [[nodiscard]] int route_domain(int client) const;
@@ -285,6 +291,7 @@ class WgttSystem {
   core::SpatialIndex spatial_index_;
   double spatial_radius_m_ = 0.0;
   mutable std::vector<int> spatial_scratch_;
+  mutable std::vector<BoundedCandidate> probe_scratch_;
   core::DomainMap domain_map_;
   std::vector<std::unique_ptr<core::Controller>> controllers_;
   /// Server-side routing table, updated by Controller::on_ownership_changed.

@@ -4,8 +4,8 @@
 // call site (channel sampling, MAC tx/rx, backhaul delivery, control
 // handling, timer fires). The tag itself is free and always present; the
 // *measurement* is opt-in: only when an EventProfiler is attached does
-// Scheduler::step() bracket each event with two steady_clock reads and
-// attribute the wall time to the event's category. With no profiler
+// Scheduler::step() take one ProfileClock read per event and attribute the
+// ticks since the previous read to the event's category. With no profiler
 // attached the scheduler pays a single pointer compare per event and
 // seeded runs stay byte-identical — profiling never perturbs virtual time,
 // only observes wall time.
@@ -16,9 +16,18 @@
 // exports it as `sim.profile.*` instruments in the metrics snapshot.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string_view>
+
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#else
+#include <chrono>
+#endif
 
 #include "obs/metrics.h"
 
@@ -43,43 +52,81 @@ inline constexpr int kNumEventCategories = 7;
 
 [[nodiscard]] std::string_view to_string(EventCategory cat);
 
+/// The profiler's clock. On x86-64 it reads the invariant TSC, about half
+/// the cost of a steady_clock read; ticks convert to nanoseconds with a
+/// scale calibrated once per process against steady_clock. Elsewhere a
+/// tick is a steady_clock nanosecond. The platform picks at build time.
+struct ProfileClock {
+  [[nodiscard]] static std::uint64_t now() {
+#if defined(__x86_64__)
+    return __rdtsc();
+#else
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+#endif
+  }
+
+  /// Nanoseconds per tick; the first call calibrates (~2 ms).
+  [[nodiscard]] static double ns_per_tick();
+};
+
 /// Wall-time accumulator per event category. Owned by whoever drives the
 /// run (the bench harness); attached to a Scheduler via set_profiler().
 ///
-/// Per-event durations land in fixed-layout histograms (microseconds,
-/// 0-50 us in 0.25 us buckets — comfortably around the ~2 us median event)
-/// so flush_to() can fold them into a MetricsRegistry bucket-for-bucket
-/// via Histogram::merge_from.
+/// Per event, record() only adds: the tick total and one integer bucket
+/// count, the bucket found by one multiply. flush_to() converts ticks to
+/// nanoseconds and folds the counts into fixed-layout registry histograms
+/// (`sim.profile.<cat>_us`: microseconds, 0-50 us in 0.25 us buckets —
+/// comfortably around the ~2 us median event).
 class EventProfiler {
  public:
   /// Shared bucket layout of the per-category histograms and their
-  /// registry counterparts (`sim.profile.<cat>_us`). merge_from is a no-op
-  /// on mismatch, so both sides construct from these constants.
+  /// registry counterparts (`sim.profile.<cat>_us`).
   static constexpr double kHistLoUs = 0.0;
   static constexpr double kHistHiUs = 50.0;
   static constexpr std::size_t kHistBuckets = 200;
 
-  EventProfiler();
+  /// `ns_per_tick` scales the ticks record() takes; tests pass 1.0 to
+  /// record nanoseconds.
+  explicit EventProfiler(double ns_per_tick = ProfileClock::ns_per_tick());
 
-  /// Records one event of `cat` that took `ns` wall nanoseconds.
-  void record(EventCategory cat, std::uint64_t ns);
+  /// Records one event of `cat` that took `ticks` clock ticks.
+  void record(EventCategory cat, std::uint64_t ticks) {
+    Cell& c = cells_[static_cast<std::size_t>(cat)];
+    ++c.events;
+    c.ticks += ticks;
+    c.min_ticks = std::min(c.min_ticks, ticks);
+    c.max_ticks = std::max(c.max_ticks, ticks);
+    // The clamp keeps the conversions exact and non-negative; anything
+    // that large lands in the overflow slot anyway.
+    const auto t = static_cast<std::int64_t>(std::min(ticks, kTickClamp));
+    const auto b = static_cast<std::size_t>(static_cast<double>(t) *
+                                            buckets_per_tick_);
+    ++c.buckets[std::min(b, kHistBuckets)];
+  }
+
+  /// Reads the clock and charges the ticks since `mark` to `cat`, then
+  /// advances `mark`: all a profiled Scheduler::step() adds per event.
+  void record_since(EventCategory cat, std::uint64_t& mark) {
+    const std::uint64_t now = ProfileClock::now();
+    record(cat, now - mark);
+    mark = now;
+  }
 
   [[nodiscard]] std::uint64_t events(EventCategory cat) const;
   [[nodiscard]] std::uint64_t total_ns(EventCategory cat) const;
   [[nodiscard]] std::uint64_t total_events() const;
   [[nodiscard]] std::uint64_t total_ns() const;
 
-  /// Per-event duration distribution (microseconds) for one category.
-  [[nodiscard]] const obs::Histogram& histogram(EventCategory cat) const {
-    return hist_[static_cast<std::size_t>(cat)];
-  }
-
-  /// Folds another profiler's cells and histograms into this one. The
-  /// parallel engine attaches one profiler per domain scheduler (each
-  /// scheduler is stepped by exactly one worker at a time, so recording
-  /// stays single-writer) and merges them in ascending domain order after
-  /// the run — the merged totals keep bench_perf_engine's coverage and
-  /// overhead gates meaningful when the run used several threads.
+  /// Folds another profiler's cells into this one; both must share one
+  /// tick scale. The parallel engine attaches one profiler per domain
+  /// scheduler (each scheduler is stepped by exactly one worker at a time,
+  /// so recording stays single-writer) and merges them in ascending domain
+  /// order after the run — the merged totals keep bench_perf_engine's
+  /// coverage and overhead gates meaningful when the run used several
+  /// threads.
   void merge_from(const EventProfiler& other);
 
   /// Exports the profile into `registry`:
@@ -91,15 +138,20 @@ class EventProfiler {
   void flush_to(obs::MetricsRegistry& registry) const;
 
  private:
+  static constexpr std::uint64_t kTickClamp = std::uint64_t{1} << 52;
+
   struct Cell {
     std::uint64_t events = 0;
-    std::uint64_t ns = 0;
+    std::uint64_t ticks = 0;
+    std::uint64_t min_ticks = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t max_ticks = 0;
+    /// kHistBuckets in-range buckets, then the overflow slot.
+    std::array<std::uint64_t, kHistBuckets + 1> buckets{};
   };
+
+  double ns_per_tick_;
+  double buckets_per_tick_;
   std::array<Cell, kNumEventCategories> cells_{};
-  // Histogram is neither copyable nor movable (atomics); the aggregate
-  // initializer in the constructor builds each element in place (guaranteed
-  // elision).
-  std::array<obs::Histogram, kNumEventCategories> hist_;
 };
 
 }  // namespace wgtt::sim

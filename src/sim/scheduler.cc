@@ -1,7 +1,6 @@
 #include "sim/scheduler.h"
 
 #include <cassert>
-#include <chrono>
 #include <utility>
 
 namespace wgtt::sim {
@@ -60,7 +59,7 @@ void Scheduler::cancel(EventId id) {
 }
 
 bool Scheduler::step() {
-  // Profiled path: one steady_clock read per event, charged as the delta
+  // Profiled path: one ProfileClock read per event, charged as the delta
   // from profile_mark_ (stamped at attach and advanced per event). Covers
   // heap pop, cancelled-key skips, the callback, and loop glue since the
   // previous event; zero clock reads when no profiler is attached.
@@ -79,14 +78,7 @@ bool Scheduler::step() {
     now_ = top.when;
     ++executed_;
     fn();
-    if (profiler_ != nullptr) {
-      const auto end = std::chrono::steady_clock::now();
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          end - profile_mark_)
-                          .count();
-      profile_mark_ = end;
-      profiler_->record(cat, static_cast<std::uint64_t>(ns));
-    }
+    if (profiler_ != nullptr) profiler_->record_since(cat, profile_mark_);
     return true;
   }
   return false;

@@ -17,7 +17,6 @@
 // byte-identical to the pre-rewrite engine.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -91,7 +90,7 @@ class Scheduler {
   [[nodiscard]] Time next_event_time();
 
   /// Attaches (or, with nullptr, detaches) a wall-time profiler. While one
-  /// is attached, step() takes ONE steady_clock read per event and charges
+  /// is attached, step() takes ONE ProfileClock read per event and charges
   /// the elapsed time since the previous read — heap pop, cancelled-key
   /// skips, the callback, and the run_until loop glue in between — to the
   /// event's category. Chaining timestamps this way (instead of bracketing
@@ -102,7 +101,7 @@ class Scheduler {
   /// pure observation and seeded runs stay deterministic.
   void set_profiler(EventProfiler* profiler) {
     profiler_ = profiler;
-    if (profiler != nullptr) profile_mark_ = std::chrono::steady_clock::now();
+    if (profiler != nullptr) profile_mark_ = ProfileClock::now();
   }
   [[nodiscard]] EventProfiler* profiler() const { return profiler_; }
 
@@ -143,9 +142,9 @@ class Scheduler {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   EventProfiler* profiler_ = nullptr;
-  /// Timestamp of the last profiled read; the next event is charged the
-  /// delta from here. Reset on attach.
-  std::chrono::steady_clock::time_point profile_mark_{};
+  /// ProfileClock ticks at the last profiled read; the next event is
+  /// charged the delta from here. Reset on attach.
+  std::uint64_t profile_mark_ = 0;
 };
 
 /// One-shot restartable timer bound to a Scheduler. Used for the switching

@@ -41,6 +41,20 @@ class Rng {
   /// Bernoulli trial.
   bool chance(double p);
 
+  /// chance(p) for a p that is costly to compute (`p_fn()`), given bounds
+  /// p_floor <= p <= p_ceiling. When 0 < p_floor and p_ceiling < 1,
+  /// chance(p) draws exactly one uniform u and returns u < p, so u is drawn
+  /// first and p_fn runs only if u < p_ceiling leaves the outcome open;
+  /// otherwise this is chance(p_fn()). Outcome and stream are chance(p)'s.
+  template <class PFn>
+  bool chance_bounded(double p_floor, double p_ceiling, PFn&& p_fn) {
+    if (p_floor > 0.0 && p_ceiling < 1.0) {
+      const double u = uniform();
+      return u < p_ceiling && u < p_fn();
+    }
+    return chance(p_fn());
+  }
+
   /// Derives an independently seeded child generator. Used to give each
   /// channel tap / client / module its own stream while keeping the whole
   /// simulation a function of one root seed.

@@ -2,8 +2,10 @@
 // pattern, fading statistics, and the composite LinkChannel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -477,6 +479,48 @@ TEST(LinkChannelTest, MeasurementFieldsConsistent) {
   // RSSI = noise floor + mean power: consistent with the budget.
   EXPECT_GT(m.rssi_dbm, -95.0);
   EXPECT_LT(m.rssi_dbm, 0.0);
+}
+
+// The certified-skipping bound (DESIGN.md §14): snr_ceiling_db is at
+// least every subcarrier SNR measure() reports, over random link configs,
+// positions and times. One tap with one sinusoid under a strong LoS is the
+// case where the triangle inequality can be met with equality (the two
+// phasors line up), so a quarter of the links take that shape and must
+// come close to their ceiling without crossing it.
+TEST(LinkChannelTest, SnrCeilingBoundsEverySubcarrier) {
+  Rng rng(2017);
+  double tight_gap_db = std::numeric_limits<double>::infinity();
+  for (int l = 0; l < 240; ++l) {
+    const bool tight = l % 4 == 0;
+    LinkChannel::Config cfg;
+    cfg.fading.num_taps = tight ? 1 : 1 + static_cast<int>(rng.uniform_int(8));
+    cfg.fading.sinusoids_per_tap =
+        tight ? 1 : 1 + static_cast<int>(rng.uniform_int(24));
+    cfg.fading.rician_k_db = tight ? rng.uniform(6.0, 30.0)
+                                   : rng.uniform(-30.0, 15.0);
+    cfg.fading.delay_spread_ns = rng.uniform(0.0, 300.0);
+    cfg.fading.env_doppler_hz = rng.uniform(0.0, 5.0);
+    cfg.shadowing_sigma_db = rng.uniform(0.0, 6.0);
+    cfg.pathloss_exponent = rng.uniform(2.0, 4.0);
+    cfg.budget.tx_power_dbm = rng.uniform(0.0, 30.0);
+    const Vec2 ap{rng.uniform(-50.0, 50.0), rng.uniform(2.0, 30.0)};
+    const Vec2 aim{ap.x + rng.uniform(-20.0, 20.0), 0.0};
+    Rng link_rng(rng.next_u64());
+    const LinkChannel link(ap, aim, cfg, link_rng);
+    for (int s = 0; s < 150; ++s) {
+      const Vec2 pos{rng.uniform(-200.0, 200.0), rng.uniform(-5.0, 5.0)};
+      const Time t = Time::micros(rng.uniform(0.0, 60e6));
+      const double ceiling = link.snr_ceiling_db(pos);
+      const CsiMeasurement m = link.measure(pos, t);
+      for (int i = 0; i < kNumSubcarriers; ++i) {
+        const double snr = m.subcarrier_snr_db[static_cast<std::size_t>(i)];
+        ASSERT_LE(snr, ceiling) << "link " << l << " sample " << s << " sc " << i;
+        if (tight) tight_gap_db = std::min(tight_gap_db, ceiling - snr);
+      }
+    }
+  }
+  // Not vacuous: the tight links approach their ceilings.
+  EXPECT_LT(tight_gap_db, 0.01);
 }
 
 // Physics property: driving through the fading field yields the classic

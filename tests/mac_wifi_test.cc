@@ -339,9 +339,10 @@ TEST_F(WifiMacTest, RoundRobinAcrossPeers) {
 }
 
 /// Sends 40 packets over a 40 dB link with `rc` choosing the rate. Returns
-/// how many CSI draws the transmitter made outside its receive path (every
-/// frame it hears costs one draw and one on_heard call) and how many
-/// A-MPDUs it sent.
+/// how many CSI draws the transmitter made outside its receive path and how
+/// many A-MPDUs it sent. With no SNR ceiling set, the receive path draws
+/// CSI once for every non-collided frame it hears, and on_heard fires for
+/// each one that decodes; on this link every block ACK does.
 std::pair<int, int> transmit_csi_draws(std::unique_ptr<phy::RateController> rc) {
   sim::Scheduler sched;
   Medium medium(sched, {});

@@ -4,6 +4,7 @@
 // tracer's per-switch record of the same protocol runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <numeric>
 #include <string>
@@ -222,28 +223,46 @@ TEST(FlightRecorderTest, ExactCapacityBoundaries) {
   EXPECT_EQ(one.at(0), 12);
 }
 
-TEST(HistogramTest, SingleWriterObserveMatchesObserveExactly) {
-  // -2 .. 12 reaches under- and overflow as well as every bucket; 3 .. 5
-  // keeps both extrema away from the zero the histogram starts with.
+TEST(HistogramTest, AddBinnedMatchesObserveExactly) {
+  // The same samples observed one by one, and binned by hand then added in
+  // one add_binned call. -2 .. 12 reaches under- and overflow as well as
+  // every bucket; 3 .. 5 keeps both extrema away from the zero the
+  // histogram starts with.
   for (const auto [from, to] : {std::pair{-2.0, 12.0}, std::pair{3.0, 5.0}}) {
-    Histogram shared(0.0, 10.0, 10);
-    Histogram single(0.0, 10.0, 10);
+    Histogram observed(0.0, 10.0, 10);
+    Histogram binned(0.0, 10.0, 10);
+    std::vector<std::uint64_t> counts(10, 0);
+    std::uint64_t under = 0;
+    std::uint64_t over = 0;
+    double sum = 0.0;
+    double lo = to;
+    double hi = from;
     std::uint64_t state = 5;
     for (int i = 0; i < 1000; ++i) {
       state = state * 6364136223846793005ULL + 1442695040888963407ULL;
       const double x =
           from + static_cast<double>(state >> 11) * 0x1.0p-53 * (to - from);
-      shared.observe(x);
-      single.observe_single_writer(x);
+      observed.observe(x);
+      if (x < 0.0) {
+        ++under;
+      } else if (x >= 10.0) {
+        ++over;
+      } else {
+        ++counts[static_cast<std::size_t>(x)];
+      }
+      sum += x;
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
     }
-    EXPECT_EQ(single.count(), shared.count());
-    EXPECT_EQ(single.sum(), shared.sum());
-    EXPECT_EQ(single.min(), shared.min());
-    EXPECT_EQ(single.max(), shared.max());
-    EXPECT_EQ(single.underflow(), shared.underflow());
-    EXPECT_EQ(single.overflow(), shared.overflow());
-    for (std::size_t b = 0; b < shared.num_buckets(); ++b) {
-      EXPECT_EQ(single.bucket_count(b), shared.bucket_count(b)) << "bucket " << b;
+    binned.add_binned(under, counts, over, sum, lo, hi);
+    EXPECT_EQ(binned.count(), observed.count());
+    EXPECT_EQ(binned.sum(), observed.sum());
+    EXPECT_EQ(binned.min(), observed.min());
+    EXPECT_EQ(binned.max(), observed.max());
+    EXPECT_EQ(binned.underflow(), observed.underflow());
+    EXPECT_EQ(binned.overflow(), observed.overflow());
+    for (std::size_t b = 0; b < observed.num_buckets(); ++b) {
+      EXPECT_EQ(binned.bucket_count(b), observed.bucket_count(b)) << "bucket " << b;
     }
   }
 }

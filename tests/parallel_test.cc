@@ -136,8 +136,9 @@ TEST(SchedulerWindowTest, NextEventTimeOnEmptyHeap) {
 // --- profiler merge --------------------------------------------------------
 
 TEST(ProfilerMergeTest, MergeFromAddsCellsAndHistograms) {
-  sim::EventProfiler a;
-  sim::EventProfiler b;
+  // A 1 ns tick: record() takes nanoseconds.
+  sim::EventProfiler a(1.0);
+  sim::EventProfiler b(1.0);
   a.record(sim::EventCategory::kMacTx, 1500);
   a.record(sim::EventCategory::kChannel, 500);
   b.record(sim::EventCategory::kMacTx, 2500);
@@ -147,8 +148,19 @@ TEST(ProfilerMergeTest, MergeFromAddsCellsAndHistograms) {
   EXPECT_EQ(a.total_ns(sim::EventCategory::kMacTx), 4000u);
   EXPECT_EQ(a.total_events(), 4u);
   EXPECT_EQ(a.total_ns(), 5500u);
-  EXPECT_EQ(a.histogram(sim::EventCategory::kMacTx).count(), 2u);
-  EXPECT_EQ(a.histogram(sim::EventCategory::kTimer).count(), 1u);
+  obs::MetricsRegistry reg;
+  a.flush_to(reg);
+  const obs::Histogram* mac_tx = reg.find_histogram("sim.profile.mac_tx_us");
+  ASSERT_NE(mac_tx, nullptr);
+  EXPECT_EQ(mac_tx->count(), 2u);
+  EXPECT_EQ(mac_tx->bucket_count(6), 1u);   // 1.5 us: [1.5, 1.75)
+  EXPECT_EQ(mac_tx->bucket_count(10), 1u);  // 2.5 us: [2.5, 2.75)
+  EXPECT_DOUBLE_EQ(mac_tx->sum(), 4.0);
+  EXPECT_DOUBLE_EQ(mac_tx->min(), 1.5);
+  EXPECT_DOUBLE_EQ(mac_tx->max(), 2.5);
+  EXPECT_EQ(reg.find_histogram("sim.profile.timer_us")->count(), 1u);
+  EXPECT_EQ(reg.find_counter("sim.profile.mac_tx_ns")->value(), 4000u);
+  EXPECT_EQ(reg.find_counter("sim.profile.events")->value(), 4u);
 }
 
 // --- synthetic domain graph ------------------------------------------------

@@ -215,6 +215,50 @@ TEST(EsnrTest, MetricIsMonotoneInUniformSnr) {
   }
 }
 
+// The certified-skipping bound (DESIGN.md §14): effective_snr_db never
+// exceeds esnr_ceiling_db of the best subcarrier, for every modulation, over
+// random, all-equal and clustered CSI — including inputs where the 45 dB
+// return fires below 45 dB and inputs entirely under the -30 dB floor.
+TEST(EsnrCeilingTest, BoundsEffectiveSnr) {
+  Rng rng(2010);
+  int clamp_45_fired = 0;
+  int below_floor = 0;
+  std::vector<double> csi(static_cast<std::size_t>(kNumSubcarriers));
+  for (int trial = 0; trial < 6000; ++trial) {
+    const double top = rng.uniform(-60.0, 70.0);
+    switch (trial % 3) {
+      case 0:  // random spread below the best subcarrier
+        for (double& v : csi) v = top - rng.uniform(0.0, 60.0);
+        csi[rng.uniform_int(csi.size())] = top;
+        break;
+      case 1:  // all equal: ESNR meets the best subcarrier
+        std::fill(csi.begin(), csi.end(), top);
+        break;
+      default:  // a cluster at the top, the rest far below
+        for (double& v : csi) v = top - rng.uniform(20.0, 60.0);
+        for (int k = 0; k < 1 + static_cast<int>(rng.uniform_int(8)); ++k) {
+          csi[rng.uniform_int(csi.size())] = top - rng.uniform(0.0, 0.01);
+        }
+        csi[rng.uniform_int(csi.size())] = top;
+        break;
+    }
+    const double best = *std::max_element(csi.begin(), csi.end());
+    if (best < kEsnrFloorDb) ++below_floor;
+    for (Modulation m : kModulations) {
+      const double esnr = effective_snr_db(csi, m);
+      ASSERT_LE(esnr, esnr_ceiling_db(best, m))
+          << to_string(m) << " trial " << trial << " best " << best;
+      if (esnr == 45.0 && best < 45.0) ++clamp_45_fired;
+    }
+  }
+  EXPECT_GT(clamp_45_fired, 100);
+  EXPECT_GT(below_floor, 100);
+  // No ceiling means no bound.
+  EXPECT_EQ(esnr_ceiling_db(std::numeric_limits<double>::infinity(),
+                            Modulation::kQam64),
+            std::numeric_limits<double>::infinity());
+}
+
 TEST(DeliveryProbabilityTest, MonotoneInEsnr) {
   for (const auto& info : all_mcs()) {
     double prev = -1.0;

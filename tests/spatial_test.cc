@@ -5,6 +5,9 @@
 // engine is pinned by tests/behaviour_lock_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "bench/harness.h"
@@ -13,6 +16,7 @@
 #include "net/ids.h"
 #include "scenario/testbed.h"
 #include "scenario/wgtt_system.h"
+#include "util/rng.h"
 
 namespace wgtt {
 namespace {
@@ -112,6 +116,110 @@ TEST(CityScaleTest, DistributedPatternDrivesClean) {
   // kDistributed sets the horizon to drive_span / speed, so every client
   // stays in-array for the whole run.
   EXPECT_NEAR(r.duration_s, 40.0 / (15.0 * 0.44704), 0.5);
+}
+
+// The pruned accuracy probe (DESIGN.md §14) against a full in-range scan,
+// every 10 ms on a 128-AP lazy-links drive: eight clients spread along the
+// array in both directions.
+TEST(CityScaleTest, PrunedProbeMatchesFullScan) {
+  scenario::WgttSystemConfig cfg;
+  cfg.geometry.num_aps = 128;
+  cfg.geometry.lazy_links = true;
+  cfg.geometry.seed = 23;
+  scenario::WgttSystem sys(cfg);
+  std::vector<std::unique_ptr<mobility::LineDrive>> cars;
+  for (int c = 0; c < 8; ++c) {
+    const double speed = (c % 2 == 0 ? 1.0 : -1.0) * (6.0 + c);
+    cars.push_back(std::make_unique<mobility::LineDrive>(20.0 + 115.0 * c, 0.0,
+                                                         speed));
+    sys.add_client(cars.back().get());
+  }
+  sys.start();
+  // The in-range set WgttSystem uses: sense range plus its 5 m reach margin.
+  const double reach = cfg.medium.sense_range_m + 5.0;
+  std::vector<int> in_range;
+  int compared = 0;
+  for (Time t = Time::ms(10); t <= Time::ms(1500); t += Time::ms(10)) {
+    sys.run_until(t);
+    for (int c = 0; c < sys.num_clients(); ++c) {
+      const double x = sys.geometry().client_position(c, t).x;
+      in_range.clear();
+      sys.spatial_index().neighbors(x, reach, in_range);
+      int full = sys.spatial_index().nearest(x);
+      double best = -std::numeric_limits<double>::infinity();
+      for (const int ap : in_range) {  // ascending index: ties stay lower
+        const double e = sys.geometry().esnr_db(ap, c, t);
+        if (e > best) {
+          best = e;
+          full = ap;
+        }
+      }
+      ASSERT_EQ(sys.optimal_ap(c, t), full)
+          << "t=" << t.to_millis() << " client " << c;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 150 * 8);
+}
+
+// pruned_argmax on tied exact scores: the lower index wins, as in a full
+// scan, even when the higher index carries the higher ceiling and is
+// evaluated first.
+TEST(PrunedArgmaxTest, TiesGoToTheLowerIndex) {
+  std::vector<scenario::BoundedCandidate> cands{{50.0, 3}, {45.0, 1}};
+  int evaluated = 0;
+  auto exact = [&evaluated](int) {
+    ++evaluated;
+    return 45.0;
+  };
+  EXPECT_EQ(scenario::pruned_argmax(cands, exact), 1);
+  EXPECT_EQ(evaluated, 2);
+
+  // Equal ceilings too: visiting order is by index, the lower one wins.
+  cands = {{45.0, 7}, {45.0, 2}, {45.0, 5}};
+  EXPECT_EQ(scenario::pruned_argmax(cands, exact), 2);
+
+  // A ceiling strictly below the best exact score is never evaluated.
+  cands = {{40.0, 0}, {50.0, 9}};
+  evaluated = 0;
+  EXPECT_EQ(scenario::pruned_argmax(cands, exact), 9);
+  EXPECT_EQ(evaluated, 1);
+
+  cands.clear();
+  EXPECT_EQ(scenario::pruned_argmax(cands, exact), -1);
+}
+
+// Random candidate sets with coarse (so often tied) exact scores and
+// ceilings at or above them: the pruned argmax is the full scan's.
+TEST(PrunedArgmaxTest, MatchesFullScanOnRandomTies) {
+  Rng rng(31337);
+  int evaluations = 0;
+  int candidates = 0;
+  for (int trial = 0; trial < 20'000; ++trial) {
+    const int n = 1 + static_cast<int>(rng.uniform_int(12));
+    std::vector<double> score(static_cast<std::size_t>(n));
+    std::vector<scenario::BoundedCandidate> cands;
+    int full = -1;
+    for (int i = 0; i < n; ++i) {
+      score[static_cast<std::size_t>(i)] =
+          static_cast<double>(rng.uniform_int(5));
+      const double ceiling = score[static_cast<std::size_t>(i)] +
+                             static_cast<double>(rng.uniform_int(3));
+      cands.push_back({ceiling, i});
+      if (full < 0 || score[static_cast<std::size_t>(i)] >
+                          score[static_cast<std::size_t>(full)]) {
+        full = i;
+      }
+    }
+    std::shuffle(cands.begin(), cands.end(), rng);
+    const int got = scenario::pruned_argmax(cands, [&](int i) {
+      ++evaluations;
+      return score[static_cast<std::size_t>(i)];
+    });
+    ASSERT_EQ(got, full) << "trial " << trial;
+    candidates += n;
+  }
+  EXPECT_LT(evaluations, candidates);
 }
 
 }  // namespace
