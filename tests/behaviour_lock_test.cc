@@ -47,6 +47,7 @@ constexpr LockRow kLockTable[] = {
     {"control_loss_5pct", 0xb6ac2f710e521b4eULL, 0xbe421e02c158183cULL},
     {"backhaul_40_batched", 0xd4e6b1b185ff3367ULL, 0x14fabe250348d6dbULL},
     {"domains_2_ctrl_crash", 0x7e3fd7dba7f353d8ULL, 0xf874bdd852e7700cULL},
+    {"domains_2_ap_ctrl_faults", 0xd69dc169c90afcbbULL, 0x2c18ca53bc2d81f3ULL},
     {"city_256x8", 0x7c69713fe81cd9c4ULL, 0x1a6438c2b9b5f5c9ULL},
     {"parallel_city", 0xf670bc278180d5bfULL, 0x1908bd32b3b7ac0fULL},
 };
@@ -191,6 +192,27 @@ std::vector<LockCase> lock_cases() {
     cfg.controller_faults.push_back(
         {.domain = 1, .crash_at = Time::sec(4), .restart_at = Time::sec(6)});
     drive("domains_2_ctrl_crash", cfg);
+  }
+  {
+    // AP liveness and peer-controller liveness in one drive: AP 2 crashes
+    // and restarts, domain 1's controller crashes and restarts, then AP 6
+    // loses its backhaul for a second while its radio keeps serving.
+    benchx::DriveConfig cfg = paper_drive(13);
+    cfg.num_clients = 2;
+    cfg.udp_rate_mbps = 10.0;
+    cfg.num_domains = 2;
+    cfg.controller_faults.push_back(
+        {.domain = 1, .crash_at = Time::sec(7), .restart_at = Time::sec(9)});
+    scenario::ApFaultScript crash;
+    crash.ap = 2;
+    crash.crash_at = Time::sec(3);
+    crash.restart_at = Time::sec(5);
+    scenario::ApFaultScript zombie;
+    zombie.ap = 6;
+    zombie.zombie_at = Time::sec(10);
+    zombie.zombie_end_at = Time::sec(11);
+    cfg.ap_faults = {crash, zombie};
+    drive("domains_2_ap_ctrl_faults", cfg);
   }
   {
     benchx::DriveConfig cfg = paper_drive(9);
