@@ -168,18 +168,7 @@ DriveResult run_drive(const DriveConfig& cfg) {
       }
     }
     scfg.num_domains = cfg.num_domains;
-    if (cfg.num_domains > 1) {
-      scfg.controller_faults = cfg.controller_faults;
-      if (cfg.inter_controller_loss_rate > 0.0) {
-        for (const auto kind :
-             {net::MsgKind::kCsiForward, net::MsgKind::kUplinkForward,
-              net::MsgKind::kDownlinkForward, net::MsgKind::kHandoverRequest,
-              net::MsgKind::kHandoverAck, net::MsgKind::kDomainHeartbeat,
-              net::MsgKind::kDomainHeartbeatAck, net::MsgKind::kDomainSync}) {
-          scfg.backhaul.fault(kind).loss_rate = cfg.inter_controller_loss_rate;
-        }
-      }
-    }
+    if (cfg.num_domains > 1) scfg.controller_faults = cfg.controller_faults;
     wgtt = std::make_unique<scenario::WgttSystem>(scfg);
     sched = &wgtt->sched();
   } else {

@@ -111,9 +111,6 @@ struct DriveConfig {
   /// Scripted controller crash/restart faults (only read when
   /// num_domains > 1). WGTT system only.
   std::vector<scenario::ControllerFaultScript> controller_faults;
-  /// Loss applied to every inter-controller message kind (handover
-  /// handshake, heartbeats, ownership gossip, cross-domain forwarding).
-  double inter_controller_loss_rate = 0.0;
   std::optional<scenario::GeometryConfig> geometry;  // density sweeps
   std::optional<Time> baseline_persistence;          // stock vs enhanced
   /// Sampling period of the serving-vs-optimal accuracy probe.

@@ -30,18 +30,25 @@ Controller::Controller(sim::Scheduler& sched, net::Backhaul& backhaul,
                    [this](NodeId from, BackhaulMessage msg) {
                      handle_backhaul(from, std::move(msg));
                    });
+  // Timer start order (AP probes, peer probes, gossip) is part of every
+  // seeded run.
   if (config_.liveness_enabled) {
-    heartbeat_timer_ = std::make_unique<sim::Timer>(
-        sched_, [this] { heartbeat_tick(); }, sim::EventCategory::kControl);
+    heartbeat_timer_ = std::make_unique<sim::Timer>(sched_, [this] {
+      for (net::ApId ap : aps_) probe(NodeId::ap(ap));
+      heartbeat_timer_->start(config_.heartbeat_interval);
+    }, sim::EventCategory::kControl);
     heartbeat_timer_->start(config_.heartbeat_interval);
   }
   if (multi_domain()) {
     peers_.resize(config_.domains.num_domains);
     adopted_by_me_.assign(config_.domains.num_domains, false);
-    domain_hb_timer_ = std::make_unique<sim::Timer>(
-        sched_, [this] { domain_heartbeat_tick(); },
-        sim::EventCategory::kControl);
-    domain_hb_timer_->start(config_.domains.heartbeat_interval);
+    peer_heartbeat_timer_ = std::make_unique<sim::Timer>(sched_, [this] {
+      for (std::uint32_t d = 0; d < peers_.size(); ++d) {
+        if (d != config_.domains.id) probe(NodeId::controller(d));
+      }
+      peer_heartbeat_timer_->start(config_.heartbeat_interval);
+    }, sim::EventCategory::kControl);
+    peer_heartbeat_timer_->start(config_.heartbeat_interval);
     domain_sync_timer_ = std::make_unique<sim::Timer>(
         sched_, [this] { domain_sync_tick(); }, sim::EventCategory::kControl);
     domain_sync_timer_->start(config_.domains.sync_interval);
@@ -109,11 +116,14 @@ void Controller::set_metrics(obs::MetricsRegistry* registry) {
 
 void Controller::add_ap(net::ApId ap) {
   if (std::find(aps_.begin(), aps_.end(), ap) == aps_.end()) aps_.push_back(ap);
-  const auto idx = static_cast<std::size_t>(net::index_of(ap));
-  if (liveness_.size() <= idx) {
-    liveness_.resize(idx + 1);
-    ap_evicted_.resize(idx + 1, false);
-  }
+  cover_aps(static_cast<std::size_t>(net::index_of(ap)) + 1);
+}
+
+void Controller::cover_aps(std::size_t n) {
+  if (liveness_.size() >= n) return;
+  liveness_.resize(n);
+  ap_evicted_.resize(n, false);
+  orphaned_.resize(n);
 }
 
 void Controller::add_client(net::ClientId client) {
@@ -132,22 +142,23 @@ void Controller::add_client(net::ClientId client) {
     s->ack_timer->start(config_.ack_timeout);
   }, sim::EventCategory::kControl);
   if (multi_domain()) {
-    cs.owner_domain = config_.domains.id;
-    cs.ho_timer = std::make_unique<sim::Timer>(sched_, [this, client] {
+    cs.domain = std::make_unique<DomainClient>();
+    cs.domain->owner_domain = config_.domains.id;
+    cs.domain->ho_timer = std::make_unique<sim::Timer>(sched_, [this, client] {
       ClientState* s = state(client);
-      if (s == nullptr || !s->ho_pending) return;
-      if (s->ho_attempts >= config_.domains.handover_max_retries) {
+      if (s == nullptr || !s->domain->ho_pending) return;
+      if (s->domain->ho_attempts >= config_.domains.handover_max_retries) {
         // Retry budget spent: the target domain is unreachable. Abort to
         // source — we keep ownership — and bar the target so the argmax
         // does not immediately re-propose it.
-        abort_handover(client, *s);
+        abort_handover(client, *s->domain);
         return;
       }
       ++stats_.handover_retries;
       if (metrics_ && metrics_->handover_retries) {
         metrics_->handover_retries->inc();
       }
-      s->ho_timeout = s->ho_timeout * 2;  // exponential backoff
+      s->domain->ho_timeout = s->domain->ho_timeout * 2;  // exponential backoff
       send_handover_request(client, *s);
     }, sim::EventCategory::kControl);
   }
@@ -158,18 +169,14 @@ void Controller::set_domain_map(const DomainMap* map) {
   if (!multi_domain() || map == nullptr) return;
   // Forwarded CSI and adopted APs feed foreign AP indices into this
   // controller; every per-AP-index array must span the whole deployment.
-  const auto total = static_cast<std::size_t>(map->num_aps());
-  if (liveness_.size() < total) {
-    liveness_.resize(total);
-    ap_evicted_.resize(total, false);
-  }
+  cover_aps(static_cast<std::size_t>(map->num_aps()));
 }
 
 void Controller::set_client_owner(net::ClientId client, std::uint32_t owner) {
   ClientState* cs = state(client);
-  if (cs == nullptr) return;
-  cs->owned = owner == config_.domains.id;
-  cs->owner_domain = owner;
+  if (cs == nullptr || !cs->domain) return;
+  cs->domain->owned = owner == config_.domains.id;
+  cs->domain->owner_domain = owner;
 }
 
 Controller::ClientState* Controller::state(net::ClientId client) {
@@ -215,26 +222,26 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
         } else if constexpr (std::is_same_v<T, net::SwitchAck>) {
           handle_switch_ack(m);
         } else if constexpr (std::is_same_v<T, net::HeartbeatAck>) {
-          handle_heartbeat_ack(m);
+          answer(NodeId::ap(m.from_ap), m.seq);
         } else if constexpr (std::is_same_v<T, net::CsiForward>) {
           // Forwarded exactly once: a non-owner receiving one drops it
           // rather than re-forwarding, so routing loops cannot form.
           ClientState* cs = state(m.report.client);
-          if (cs != nullptr && cs->owned) {
+          if (cs != nullptr && cs->owned()) {
             process_csi(m.report, *cs);
           } else {
             count_misrouted();
           }
         } else if constexpr (std::is_same_v<T, net::UplinkForward>) {
           ClientState* cs = state(m.data.packet.client);
-          if (cs != nullptr && cs->owned) {
+          if (cs != nullptr && cs->owned()) {
             handle_uplink(std::move(m.data));
           } else {
             count_misrouted();
           }
         } else if constexpr (std::is_same_v<T, net::DownlinkForward>) {
           ClientState* cs = state(m.packet.client);
-          if (cs != nullptr && cs->owned) {
+          if (cs != nullptr && cs->owned()) {
             send_downlink(std::move(m.packet));
           } else {
             count_misrouted();
@@ -245,19 +252,13 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
           handle_handover_ack(m);
         } else if constexpr (std::is_same_v<T, net::DomainHeartbeat>) {
           // Echoed inline (no processing delay), like the AP heartbeat. A
-          // probe from a peer is also liveness evidence in itself.
-          if (m.src_domain < peers_.size() && !peers_[m.src_domain].alive) {
-            peer_recovered(m.src_domain);
-          }
-          backhaul_.send(self_node(), NodeId::controller(m.src_domain),
+          // probe from a peer we hold Dead is also an answer in itself.
+          const NodeId peer = NodeId::controller(m.src_domain);
+          if (!peer_alive(m.src_domain)) answer(peer, m.seq);
+          backhaul_.send(self_node(), peer,
                          net::DomainHeartbeatAck{config_.domains.id, m.seq});
         } else if constexpr (std::is_same_v<T, net::DomainHeartbeatAck>) {
-          if (m.src_domain < peers_.size()) {
-            PeerState& ps = peers_[m.src_domain];
-            ps.ack_since_tick = true;
-            ps.misses = 0;
-            if (!ps.alive) peer_recovered(m.src_domain);
-          }
+          answer(NodeId::controller(m.src_domain), m.seq);
         } else if constexpr (std::is_same_v<T, net::DomainSync>) {
           handle_domain_sync(m);
         }
@@ -270,11 +271,11 @@ void Controller::handle_csi(const net::CsiReport& report) {
   if (metrics_) metrics_->csi_reports->inc();
   ClientState* cs = state(report.client);
   if (cs == nullptr) return;
-  if (multi_domain() && !cs->owned) {
+  if (!cs->owned()) {
     // Measurement for a client another domain owns (our AP overheard it
     // near the boundary): relay to the believed owner, whose argmax seeing
     // our AP win is exactly what triggers the inter-domain handover.
-    relay_to_owner(*cs, net::CsiForward{config_.domains.id, report},
+    relay_to_owner(*cs->domain, net::CsiForward{config_.domains.id, report},
                    stats_.csi_forwarded, &Metrics::csi_forwarded);
     return;
   }
@@ -294,7 +295,7 @@ void Controller::process_csi(const net::CsiReport& report, ClientState& cs) {
 
 void Controller::maybe_switch(net::ClientId client, ClientState& cs) {
   if (cs.switch_pending) return;  // at most one outstanding switch
-  if (cs.ho_pending) return;      // ... or one outstanding handover
+  if (cs.domain && cs.domain->ho_pending) return;  // ... or handover
   if (metrics_) metrics_->selection_evaluations->inc();
 
   const auto best = tracker_.best_ap(client, sched_.now(), eviction_mask());
@@ -395,7 +396,7 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
   ClientState* csp = state(msg.client);
   if (csp == nullptr) return;
   ClientState& cs = *csp;
-  if (multi_domain() && !cs.owned) {
+  if (!cs.owned()) {
     // An AP homed here acked a switch another domain is driving — its
     // stretch was returned (or adopted) while the client's ownership still
     // sits across the boundary. Relay to the believed owner exactly once;
@@ -406,7 +407,7 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
     } else {
       net::SwitchAck fwd = msg;
       fwd.relayed = true;
-      relay_to_owner(cs, fwd, stats_.switch_acks_forwarded,
+      relay_to_owner(*cs.domain, fwd, stats_.switch_acks_forwarded,
                      &Metrics::switch_acks_fwd);
     }
     return;
@@ -441,10 +442,10 @@ void Controller::send_downlink(net::Packet packet) {
   ClientState* csp = state(packet.client);
   if (csp == nullptr) return;
   ClientState& cs = *csp;
-  if (multi_domain() && !cs.owned) {
+  if (!cs.owned()) {
     // The server handed us a packet for a client another domain owns
     // (routing lags ownership during a handover): relay it once.
-    relay_to_owner(cs, net::DownlinkForward{config_.domains.id,
+    relay_to_owner(*cs.domain, net::DownlinkForward{config_.domains.id,
                                             std::move(packet)},
                    stats_.downlink_forwarded, &Metrics::downlink_fwd);
     return;
@@ -546,16 +547,14 @@ bool Controller::dedup_insert(std::uint64_t key) {
 void Controller::handle_uplink(net::UplinkData&& msg) {
   ++stats_.uplink_packets;
   if (metrics_) metrics_->uplink_packets->inc();
-  if (multi_domain()) {
-    ClientState* cs = state(msg.packet.client);
-    if (cs != nullptr && !cs->owned) {
-      // Only the owner de-duplicates (its ring is the authoritative one);
-      // relay to it.
-      relay_to_owner(*cs, net::UplinkForward{config_.domains.id,
-                                             std::move(msg)},
-                     stats_.uplink_forwarded, &Metrics::uplink_fwd);
-      return;
-    }
+  const ClientState* cs = state(msg.packet.client);
+  if (cs != nullptr && !cs->owned()) {
+    // Only the owner de-duplicates (its ring is the authoritative one);
+    // relay to it.
+    relay_to_owner(*cs->domain,
+                   net::UplinkForward{config_.domains.id, std::move(msg)},
+                   stats_.uplink_forwarded, &Metrics::uplink_fwd);
+    return;
   }
   if (!dedup_accept(msg.packet)) {
     ++stats_.uplink_duplicates_dropped;
@@ -566,12 +565,11 @@ void Controller::handle_uplink(net::UplinkData&& msg) {
 
 // --- Multi-controller domains (DESIGN.md §12) ----------------------------
 
-void Controller::relay_to_owner(const ClientState& cs,
+void Controller::relay_to_owner(const DomainClient& dc,
                                 net::BackhaulMessage msg, std::uint64_t& stat,
                                 obs::Counter* Metrics::*counter) {
-  const std::uint32_t owner = cs.owner_domain;
-  if (owner < peers_.size() && owner != config_.domains.id &&
-      peers_[owner].alive) {
+  const std::uint32_t owner = dc.owner_domain;
+  if (owner != config_.domains.id && peer_alive(owner)) {
     ++stat;
     if (metrics_ && (*metrics_).*counter) ((*metrics_).*counter)->inc();
     backhaul_.send(self_node(), NodeId::controller(owner), std::move(msg));
@@ -599,7 +597,7 @@ void Controller::consider_handover(net::ClientId client, ClientState& cs,
     }
     return;
   }
-  if (target_domain >= peers_.size() || !peers_[target_domain].alive) return;
+  if (!peer_alive(target_domain)) return;
   // Same challenger-vs-incumbent discipline as the intra-domain decision:
   // a cross-domain handover is strictly more expensive than a switch, so
   // it clears at least the same bar.
@@ -610,13 +608,14 @@ void Controller::consider_handover(net::ClientId client, ClientState& cs,
 void Controller::initiate_handover(net::ClientId client, ClientState& cs,
                                    net::ApId target,
                                    std::uint32_t target_domain) {
-  cs.ho_pending = true;
-  cs.ho_target_domain = target_domain;
-  cs.ho_target_ap = target;
-  cs.ho_seq = ++ho_seq_counter_;
-  cs.ho_attempts = 0;
-  cs.ho_started = sched_.now();
-  cs.ho_timeout = config_.domains.handover_timeout;
+  DomainClient& dc = *cs.domain;
+  dc.ho_pending = true;
+  dc.ho_target_domain = target_domain;
+  dc.ho_target_ap = target;
+  dc.ho_seq = ++ho_seq_counter_;
+  dc.ho_attempts = 0;
+  dc.ho_started = sched_.now();
+  dc.ho_timeout = config_.domains.handover_timeout;
   ++stats_.handover_requests;
   if (metrics_ && metrics_->handover_requests) {
     metrics_->handover_requests->inc();
@@ -625,29 +624,30 @@ void Controller::initiate_handover(net::ClientId client, ClientState& cs,
 }
 
 void Controller::send_handover_request(net::ClientId client, ClientState& cs) {
+  DomainClient& dc = *cs.domain;
   net::HandoverRequest req;
   req.client = client;
   req.src_domain = config_.domains.id;
-  req.target_ap = cs.ho_target_ap;
+  req.target_ap = dc.ho_target_ap;
   req.epoch = cs.epoch;
   // Pre-rewind the transferred watermark so the target replays the tail the
   // boundary APs may hold but have not delivered (the client's duplicate
   // suppression absorbs the overlap, as on forced failover).
   const auto replay = static_cast<std::uint16_t>(std::min<std::uint64_t>(
-      config_.domains.handover_replay, cs.downlink_sent));
+      config_.failover_replay, cs.downlink_sent));
   req.next_index = static_cast<std::uint16_t>((cs.next_index - replay) & 0x0fff);
   req.downlink_sent = cs.downlink_sent;
   req.dedup_seed = collect_dedup_seed(client);
-  req.seq = cs.ho_seq;
-  ++cs.ho_attempts;
-  backhaul_.send(self_node(), NodeId::controller(cs.ho_target_domain),
+  req.seq = dc.ho_seq;
+  ++dc.ho_attempts;
+  backhaul_.send(self_node(), NodeId::controller(dc.ho_target_domain),
                  std::move(req));
-  cs.ho_timer->start(cs.ho_timeout);
+  dc.ho_timer->start(dc.ho_timeout);
 }
 
-void Controller::abort_handover(net::ClientId client, ClientState& cs) {
-  end_handover(cs);
-  penalty_.arm(client, cs.ho_target_domain,
+void Controller::abort_handover(net::ClientId client, DomainClient& dc) {
+  end_handover(dc);
+  penalty_.arm(client, dc.ho_target_domain,
                sched_.now() + config_.domains.penalty_window);
   ++stats_.handover_aborts;
   if (metrics_ && metrics_->handover_aborts) {
@@ -655,9 +655,9 @@ void Controller::abort_handover(net::ClientId client, ClientState& cs) {
   }
 }
 
-void Controller::end_handover(ClientState& cs) {
-  if (cs.ho_timer) cs.ho_timer->cancel();
-  cs.ho_pending = false;
+void Controller::end_handover(DomainClient& dc) {
+  dc.ho_timer->cancel();
+  dc.ho_pending = false;
 }
 
 std::vector<std::uint32_t> Controller::collect_dedup_seed(
@@ -684,23 +684,24 @@ void Controller::handle_handover_request(net::HandoverRequest&& msg) {
                    net::HandoverAck{msg.client, config_.domains.id, accepted,
                                     msg.seq, epoch});
   };
-  if (csp == nullptr) {
+  if (csp == nullptr || !csp->domain) {
     reply(false, 0);
     return;
   }
   ClientState& cs = *csp;
-  if (cs.ho_acc_valid && cs.ho_acc_src == msg.src_domain &&
-      cs.ho_acc_seq == msg.seq) {
+  DomainClient& dc = *cs.domain;
+  if (dc.ho_acc_valid && dc.ho_acc_src == msg.src_domain &&
+      dc.ho_acc_seq == msg.seq) {
     // Retransmit of a transfer we already accepted (our ack was lost):
     // replay the ack only — re-applying the state would rewind the epoch
     // and watermark we have since advanced.
     reply(true, cs.epoch);
     return;
   }
-  cs.ho_acc_valid = true;
-  cs.ho_acc_seq = msg.seq;
-  cs.ho_acc_src = msg.src_domain;
-  if (cs.owned) {
+  dc.ho_acc_valid = true;
+  dc.ho_acc_seq = msg.seq;
+  dc.ho_acc_src = msg.src_domain;
+  if (dc.owned) {
     // Already ours (gossip or a prior transfer raced the retransmit chain).
     // Accept idempotently without touching the live state.
     reply(true, cs.epoch);
@@ -709,8 +710,8 @@ void Controller::handle_handover_request(net::HandoverRequest&& msg) {
   // Take ownership: adopt the transferred epoch (advancing past our own
   // stale view), watermark, and dedup seed, then bootstrap the proposed AP
   // from the transferred (pre-rewound) index under a freshly minted epoch.
-  cs.owned = true;
-  cs.owner_domain = config_.domains.id;
+  dc.owned = true;
+  dc.owner_domain = config_.domains.id;
   cs.epoch = std::max(cs.epoch, msg.epoch) + 1;
   cs.next_index = msg.next_index;
   cs.downlink_sent = msg.downlink_sent;
@@ -750,14 +751,15 @@ void Controller::handle_handover_request(net::HandoverRequest&& msg) {
 
 void Controller::handle_handover_ack(const net::HandoverAck& msg) {
   ClientState* csp = state(msg.client);
-  if (csp == nullptr) return;
+  if (csp == nullptr || !csp->domain) return;
   ClientState& cs = *csp;
-  if (!cs.ho_pending || msg.seq != cs.ho_seq) return;  // stale chain leftover
+  DomainClient& dc = *cs.domain;
+  if (!dc.ho_pending || msg.seq != dc.ho_seq) return;  // stale chain leftover
   if (!msg.accepted) {
-    abort_handover(msg.client, cs);
+    abort_handover(msg.client, dc);
     return;
   }
-  end_handover(cs);
+  end_handover(dc);
   // Ownership released. Stop the old serving AP under the target's minted
   // epoch (strictly newer than the start record it is serving under, so the
   // stop supersedes it); the forwarded start it triggers arrives at the
@@ -768,56 +770,32 @@ void Controller::handle_handover_ack(const net::HandoverAck& msg) {
   const auto old_serving = cs.serving;
   end_switch(cs);
   cs.serving.reset();
-  cs.owned = false;
-  cs.owner_domain = msg.from_domain;
+  dc.owned = false;
+  dc.owner_domain = msg.from_domain;
   ++stats_.handovers_out;
   if (metrics_) {
     if (metrics_->handovers_out) metrics_->handovers_out->inc();
     if (metrics_->handover_ms) {
-      metrics_->handover_ms->observe((sched_.now() - cs.ho_started).to_millis());
+      metrics_->handover_ms->observe((sched_.now() - dc.ho_started).to_millis());
     }
   }
-  if (old_serving && *old_serving != cs.ho_target_ap) {
+  if (old_serving && *old_serving != dc.ho_target_ap) {
     backhaul_.send(self_node(), NodeId::ap(*old_serving),
-                   net::StopMsg{msg.client, cs.ho_target_ap, msg.epoch});
+                   net::StopMsg{msg.client, dc.ho_target_ap, msg.epoch});
   }
   // Seed the gossip record with the target's minted epoch so an immediate
   // target crash still adopts from a base at least that fresh.
-  if (!cs.gossip || msg.epoch > cs.gossip->epoch) {
-    cs.gossip = net::DomainSync::Entry{msg.client, msg.from_domain, msg.epoch,
+  if (!dc.gossip || msg.epoch > dc.gossip->epoch) {
+    dc.gossip = net::DomainSync::Entry{msg.client, msg.from_domain, msg.epoch,
                                        cs.next_index, cs.downlink_sent, true,
-                                       cs.ho_target_ap};
+                                       dc.ho_target_ap};
   }
   if (on_ownership_changed) {
     on_ownership_changed(msg.client, msg.from_domain);
   }
 }
 
-void Controller::domain_heartbeat_tick() {
-  const std::uint32_t me = config_.domains.id;
-  for (std::uint32_t d = 0; d < peers_.size(); ++d) {
-    if (d == me) continue;
-    PeerState& ps = peers_[d];
-    // Judge the probe sent last tick before sending the next one (the
-    // PR-5 AP-heartbeat discipline, peer-to-peer).
-    if (!ps.ack_since_tick) {
-      ++ps.misses;
-      if (ps.misses >= config_.domains.miss_threshold && ps.alive) {
-        peer_dead(d);
-      }
-    }
-    ps.ack_since_tick = false;
-    ++ps.hb_seq;
-    backhaul_.send(self_node(), NodeId::controller(d),
-                   net::DomainHeartbeat{me, ps.hb_seq});
-  }
-  domain_hb_timer_->start(config_.domains.heartbeat_interval);
-}
-
 void Controller::peer_dead(std::uint32_t domain) {
-  PeerState& ps = peers_[domain];
-  ps.alive = false;
-  ps.state_since = sched_.now();
   last_peer_transition_ = sched_.now();
   ++stats_.peers_marked_dead;
   if (metrics_ && metrics_->peers_marked_dead) {
@@ -826,20 +804,15 @@ void Controller::peer_dead(std::uint32_t domain) {
   // Handovers in flight toward the corpse can never complete: abort them
   // now instead of burning the whole retry budget.
   for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
-    ClientState& cs = clients_[ci];
-    if (cs.registered && cs.ho_pending && cs.ho_target_domain == domain) {
-      abort_handover(static_cast<net::ClientId>(ci), cs);
+    DomainClient* dc = clients_[ci].domain.get();  // null if unregistered
+    if (dc != nullptr && dc->ho_pending && dc->ho_target_domain == domain) {
+      abort_handover(static_cast<net::ClientId>(ci), *dc);
     }
   }
   reevaluate_adoptions();
 }
 
 void Controller::peer_recovered(std::uint32_t domain) {
-  PeerState& ps = peers_[domain];
-  ps.alive = true;
-  ps.misses = 0;
-  ps.ack_since_tick = true;
-  ps.state_since = sched_.now();
   last_peer_transition_ = sched_.now();
   ++stats_.peers_recovered;
   if (adopted_by_me_[domain]) return_domain(domain);
@@ -859,9 +832,7 @@ void Controller::reevaluate_adoptions() {
   if (domain_map_ == nullptr || crashed_) return;
   const std::uint32_t me = config_.domains.id;
   std::vector<bool> alive(peers_.size());
-  for (std::uint32_t d = 0; d < peers_.size(); ++d) {
-    alive[d] = d == me ? true : peers_[d].alive;
-  }
+  for (std::uint32_t d = 0; d < peers_.size(); ++d) alive[d] = peer_alive(d);
   for (std::uint32_t d = 0; d < peers_.size(); ++d) {
     if (d == me || alive[d] || adopted_by_me_[d]) continue;
     if (domain_map_->nearest_alive(d, alive) == me) adopt_domain(d);
@@ -871,8 +842,8 @@ void Controller::reevaluate_adoptions() {
   // APs, so adoption keys off the believed owner, not the adopt instant.
   for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
     ClientState& cs = clients_[ci];
-    if (!cs.registered || cs.owned) continue;
-    const std::uint32_t d = cs.owner_domain;
+    if (!cs.registered || cs.domain->owned) continue;
+    const std::uint32_t d = cs.domain->owner_domain;
     if (d == me || d >= alive.size() || alive[d]) continue;
     if (domain_map_->nearest_alive(d, alive) == me) {
       adopt_client(static_cast<net::ClientId>(ci), cs);
@@ -901,17 +872,18 @@ void Controller::adopt_client(net::ClientId client, ClientState& cs) {
   // Bootstrap from the dead owner's last-gossiped epoch/watermark. The
   // epoch jump leaps over anything it minted after that gossip, so our
   // starts are never stale at the APs.
-  cs.owned = true;
-  cs.owner_domain = config_.domains.id;
+  DomainClient& dc = *cs.domain;
+  dc.owned = true;
+  dc.owner_domain = config_.domains.id;
   const std::uint32_t base =
-      std::max(cs.epoch, cs.gossip ? cs.gossip->epoch : 0);
+      std::max(cs.epoch, dc.gossip ? dc.gossip->epoch : 0);
   cs.epoch = base + config_.domains.epoch_jump;
-  if (cs.gossip) {
-    cs.next_index = cs.gossip->next_index;
-    cs.downlink_sent = cs.gossip->downlink_sent;
+  if (dc.gossip) {
+    cs.next_index = dc.gossip->next_index;
+    cs.downlink_sent = dc.gossip->downlink_sent;
   }
   end_switch(cs);
-  end_handover(cs);
+  end_handover(dc);
   ++stats_.clients_adopted;
   if (metrics_ && metrics_->clients_adopted) {
     metrics_->clients_adopted->inc();
@@ -919,12 +891,12 @@ void Controller::adopt_client(net::ClientId client, ClientState& cs) {
   if (on_ownership_changed) {
     on_ownership_changed(client, config_.domains.id);
   }
-  if (cs.gossip && cs.gossip->has_serving) {
+  if (dc.gossip && dc.gossip->has_serving) {
     // The data plane outlived its controller: the gossiped serving AP is
     // still draining under the dead domain's epoch. Keep it — we only
     // take over routing and ownership; our next measurement-driven
     // switch re-stamps the jumped epoch at the AP layer.
-    cs.serving = cs.gossip->serving;
+    cs.serving = dc.gossip->serving;
   } else {
     cs.serving.reset();
     const auto target = tracker_.best_ap(client, sched_.now(),
@@ -956,7 +928,7 @@ void Controller::return_domain(std::uint32_t recovered) {
 void Controller::domain_sync_tick() {
   const net::DomainSync sync = build_domain_sync();
   for (std::uint32_t d = 0; d < peers_.size(); ++d) {
-    if (d == config_.domains.id || !peers_[d].alive) continue;
+    if (d == config_.domains.id || !peer_alive(d)) continue;
     backhaul_.send(self_node(), NodeId::controller(d), sync);
   }
   domain_sync_timer_->start(config_.domains.sync_interval);
@@ -969,19 +941,19 @@ net::DomainSync Controller::build_domain_sync() const {
   for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
     const ClientState& cs = clients_[ci];
     if (!cs.registered) continue;
-    if (cs.owned) {
+    const DomainClient& dc = *cs.domain;
+    if (dc.owned) {
       sync.entries.push_back({static_cast<net::ClientId>(ci), me, cs.epoch,
                               cs.next_index, cs.downlink_sent,
                               cs.serving.has_value(),
                               cs.serving.value_or(net::ApId{})});
-    } else if (cs.gossip && cs.owner_domain != me &&
-               cs.owner_domain < peers_.size() &&
-               !peers_[cs.owner_domain].alive) {
+    } else if (dc.gossip && dc.owner_domain != me &&
+               !peer_alive(dc.owner_domain)) {
       // Relay our last record of a dead owner: the adopter may never have
       // seen the ownership transfer (the owner crashed before gossiping
       // it), and a client nobody speaks for stays orphaned forever.
-      sync.entries.push_back(*cs.gossip);
-      sync.entries.back().owner = cs.owner_domain;
+      sync.entries.push_back(*dc.gossip);
+      sync.entries.back().owner = dc.owner_domain;
     }
   }
   return sync;
@@ -992,14 +964,15 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
   bool saw_dead_owner = false;
   for (const net::DomainSync::Entry& e : msg.entries) {
     ClientState* csp = state(e.client);
-    if (csp == nullptr) continue;
+    if (csp == nullptr || !csp->domain) continue;
     ClientState& cs = *csp;
-    if (e.owner == me && !cs.owned) {
+    DomainClient& dc = *cs.domain;
+    if (e.owner == me && !dc.owned) {
       // A relayed claim naming us as owner of a client we do not own can
       // only be stale (e.g. we crashed and restarted since); ignore it.
       continue;
     }
-    if (cs.owned) {
+    if (dc.owned) {
       // Relays republish a third party's old record; only a direct claim
       // from the sender itself can contest our ownership.
       if (e.owner != msg.src_domain) continue;
@@ -1014,7 +987,7 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
           metrics_->ownership_yields->inc();
         }
         end_switch(cs);
-        end_handover(cs);
+        end_handover(dc);
         if (cs.serving && !(e.has_serving && e.serving == *cs.serving)) {
           // Quench our AP's drain: an equal-epoch stop supersedes the start
           // record it serves under. new_ap = itself routes the forwarded
@@ -1026,11 +999,11 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
                          net::StopMsg{e.client, *cs.serving, cs.epoch});
         }
         cs.serving.reset();
-        cs.owned = false;
-        cs.owner_domain = msg.src_domain;
+        dc.owned = false;
+        dc.owner_domain = msg.src_domain;
         // Seed the gossip record from the winner's entry: if it crashes
         // before its next sync reaches us, adoption still has a fresh base.
-        cs.gossip = e;
+        dc.gossip = e;
         if (on_ownership_changed) {
           on_ownership_changed(e.client, msg.src_domain);
         }
@@ -1038,14 +1011,11 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
     } else {
       // Track the freshest gossip: it names the believed owner for
       // forwarding and seeds the crash-adoption bootstrap.
-      if (!cs.gossip || e.epoch >= cs.gossip->epoch) {
-        cs.gossip = e;
-        cs.owner_domain = e.owner;
+      if (!dc.gossip || e.epoch >= dc.gossip->epoch) {
+        dc.gossip = e;
+        dc.owner_domain = e.owner;
       }
-      if (e.owner < peers_.size() && e.owner != me &&
-          !peers_[e.owner].alive) {
-        saw_dead_owner = true;
-      }
+      if (e.owner != me && !peer_alive(e.owner)) saw_dead_owner = true;
     }
   }
   // A relay just taught us about clients whose owner is already dead; if
@@ -1057,19 +1027,24 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
 void Controller::set_crashed(bool crashed) {
   if (crashed == crashed_) return;
   crashed_ = crashed;
+  // Peer liveness is volatile, and a restart is cold: peers are presumed
+  // alive until probed. The AP table is kept.
+  std::fill(peers_.begin(), peers_.end(), LivenessState{});
   if (crashed) {
     // Fail-stop: volatile state dies with the process.
     if (heartbeat_timer_) heartbeat_timer_->cancel();
-    if (domain_hb_timer_) domain_hb_timer_->cancel();
+    if (peer_heartbeat_timer_) peer_heartbeat_timer_->cancel();
     if (domain_sync_timer_) domain_sync_timer_->cancel();
     for (ClientState& cs : clients_) {
       if (!cs.registered) continue;
       end_switch(cs);
-      end_handover(cs);
-      cs.owned = false;
       cs.serving.reset();
-      cs.gossip.reset();
-      cs.ho_acc_valid = false;
+      if (DomainClient* dc = cs.domain.get()) {
+        end_handover(*dc);
+        dc->owned = false;
+        dc->gossip.reset();
+        dc->ho_acc_valid = false;
+      }
     }
     // Any adopted APs are no longer operated by anyone until the liveness
     // machinery re-homes them; our AP list reverts to the home stretch.
@@ -1080,23 +1055,14 @@ void Controller::set_crashed(bool crashed) {
         aps_.push_back(static_cast<net::ApId>(a));
       }
     }
-    for (std::size_t d = 0; d < adopted_by_me_.size(); ++d) {
-      adopted_by_me_[d] = false;
-    }
-    for (PeerState& ps : peers_) ps = PeerState{};
+    std::fill(adopted_by_me_.begin(), adopted_by_me_.end(), false);
   } else {
-    // Cold restart: peers presumed alive until probed; ownership beliefs
-    // repopulate from their gossip (until then cross-domain traffic for
-    // unknown owners is counted as misrouted and dropped).
-    for (PeerState& ps : peers_) {
-      ps = PeerState{};
-      ps.state_since = sched_.now();
-    }
-    if (config_.liveness_enabled && heartbeat_timer_) {
-      heartbeat_timer_->start(config_.heartbeat_interval);
-    }
-    if (domain_hb_timer_) {
-      domain_hb_timer_->start(config_.domains.heartbeat_interval);
+    // Cold restart: ownership beliefs repopulate from peer gossip (until
+    // then cross-domain traffic for unknown owners is counted as misrouted
+    // and dropped).
+    if (heartbeat_timer_) heartbeat_timer_->start(config_.heartbeat_interval);
+    if (peer_heartbeat_timer_) {
+      peer_heartbeat_timer_->start(config_.heartbeat_interval);
     }
     if (domain_sync_timer_) {
       domain_sync_timer_->start(config_.domains.sync_interval);
@@ -1106,25 +1072,26 @@ void Controller::set_crashed(bool crashed) {
 
 bool Controller::owns_client(net::ClientId client) const {
   const ClientState* cs = state(client);
-  return cs != nullptr && cs->owned && !crashed_;
+  return cs != nullptr && cs->owned() && !crashed_;
 }
 
 bool Controller::handover_pending(net::ClientId client) const {
   const ClientState* cs = state(client);
-  return cs != nullptr && cs->ho_pending;
+  return cs != nullptr && cs->domain && cs->domain->ho_pending;
 }
 
 std::uint32_t Controller::believed_owner(net::ClientId client) const {
   const ClientState* cs = state(client);
-  return cs == nullptr ? config_.domains.id : cs->owner_domain;
+  return cs == nullptr || !cs->domain ? config_.domains.id
+                                      : cs->domain->owner_domain;
 }
 
 bool Controller::peer_alive(std::uint32_t domain) const {
   if (domain == config_.domains.id) return !crashed_;
-  return domain < peers_.size() && peers_[domain].alive;
+  return domain < peers_.size() && peers_[domain].state != ApLiveness::kDead;
 }
 
-// --- AP liveness & forced failover --------------------------------------
+// --- Liveness: one heartbeat machine over the AP and peer tables --------
 
 bool Controller::ap_usable(net::ApId ap) const {
   const auto idx = static_cast<std::size_t>(net::index_of(ap));
@@ -1135,71 +1102,91 @@ Controller::ApHealth Controller::ap_health(net::ApId ap) const {
   if (!config_.liveness_enabled) return {};
   const auto idx = static_cast<std::size_t>(net::index_of(ap));
   if (idx >= liveness_.size()) return {};
-  return {liveness_[idx].state, liveness_[idx].state_since};
+  return {liveness_[idx].state, liveness_[idx].since};
 }
 
-void Controller::heartbeat_tick() {
-  for (net::ApId ap : aps_) {
-    const auto idx = static_cast<std::size_t>(net::index_of(ap));
-    LivenessState& ls = liveness_[idx];
-    // Judge the probe sent last tick before sending the next one.
-    // (ack_since_tick starts true, so no miss accrues before first probe.)
-    if (!ls.ack_since_tick) {
-      ++ls.misses;
-      if (ls.state == ApLiveness::kAlive) {
-        ls.state = ApLiveness::kSuspect;
-        ls.state_since = sched_.now();
-        ++stats_.aps_marked_suspect;
-      }
-      if (ls.misses >= config_.heartbeat_miss_threshold &&
-          ls.state != ApLiveness::kDead) {
-        mark_dead(ap);
+Controller::LivenessState* Controller::liveness_of(NodeId target) {
+  auto& table = target.kind == NodeId::Kind::kAp ? liveness_ : peers_;
+  return target.index < table.size() ? &table[target.index] : nullptr;
+}
+
+void Controller::probe(NodeId target) {
+  LivenessState& ls = *liveness_of(target);
+  const bool is_ap = target.kind == NodeId::Kind::kAp;
+  // Judge the probe sent last tick before sending the next one, and run
+  // the verdict's side effects first. (answered starts true, so no miss
+  // accrues before the first probe.)
+  if (!ls.answered) {
+    ++ls.misses;
+    if (ls.state == ApLiveness::kAlive) {
+      ls.enter(ApLiveness::kSuspect, sched_.now());
+      if (is_ap) ++stats_.aps_marked_suspect;
+    }
+    if (ls.misses >= config_.heartbeat_miss_threshold &&
+        ls.state != ApLiveness::kDead) {
+      ls.enter(ApLiveness::kDead, sched_.now());
+      if (is_ap) {
+        mark_dead(net::ApId{target.index});
+      } else {
+        peer_dead(target.index);
       }
     }
-    if (ls.state == ApLiveness::kRecovering &&
-        sched_.now() >= ls.readmit_at) {
-      readmit(ap);
-    }
-    ls.ack_since_tick = false;
-    ++ls.hb_seq;
-    ls.hb_sent_at = sched_.now();
+  }
+  readmit_if_due(target, ls);
+  ls.answered = false;
+  ++ls.seq;
+  ls.sent_at = sched_.now();
+  if (is_ap) {
     ++stats_.heartbeats_sent;
-    backhaul_.send(self_node(), NodeId::ap(ap),
-                   net::Heartbeat{ls.hb_seq});
+    backhaul_.send(self_node(), target, net::Heartbeat{ls.seq});
+  } else {
+    backhaul_.send(self_node(), target,
+                   net::DomainHeartbeat{config_.domains.id, ls.seq});
   }
-  heartbeat_timer_->start(config_.heartbeat_interval);
 }
 
-void Controller::handle_heartbeat_ack(const net::HeartbeatAck& msg) {
-  const auto idx = static_cast<std::size_t>(net::index_of(msg.from_ap));
-  if (idx >= liveness_.size()) return;
-  LivenessState& ls = liveness_[idx];
-  ++stats_.heartbeat_acks;
-  ls.ack_since_tick = true;
-  ls.misses = 0;
-  if (metrics_ && metrics_->heartbeat_rtt_ms && msg.seq == ls.hb_seq) {
+void Controller::answer(NodeId target, std::uint32_t seq) {
+  LivenessState* ls = liveness_of(target);
+  if (ls == nullptr) return;
+  const bool is_ap = target.kind == NodeId::Kind::kAp;
+  if (is_ap) ++stats_.heartbeat_acks;
+  ls->answered = true;
+  ls->misses = 0;
+  if (is_ap && metrics_ && metrics_->heartbeat_rtt_ms && seq == ls->seq) {
     metrics_->heartbeat_rtt_ms->observe(
-        (sched_.now() - ls.hb_sent_at).to_millis());
+        (sched_.now() - ls->sent_at).to_millis());
   }
-  if (ls.state == ApLiveness::kDead) {
-    // Back from the dead: damp the flap with an exponential readmission
-    // backoff so an oscillating AP cannot thrash the fan-out set.
-    ls.state = ApLiveness::kRecovering;
-    ls.state_since = sched_.now();
-    if (ls.backoff == Time::zero()) ls.backoff = config_.readmission_backoff;
-    ls.readmit_at = sched_.now() + ls.backoff;
-    ls.backoff = std::min(ls.backoff * 2, config_.readmission_backoff_max);
-  } else if (ls.state == ApLiveness::kSuspect) {
-    ls.state = ApLiveness::kAlive;
-    ls.state_since = sched_.now();
+  if (ls->state == ApLiveness::kDead) {
+    // Back from the dead. An AP waits out a backoff that doubles per death,
+    // so an oscillating AP cannot thrash the fan-out set, and the first
+    // probe due after it readmits the AP. The peer table runs with zero
+    // backoff: a peer is readmitted on this answer.
+    ls->enter(ApLiveness::kRecovering, sched_.now());
+    if (is_ap && ls->backoff == Time::zero()) {
+      ls->backoff = config_.readmission_backoff;
+    }
+    ls->readmit_at = sched_.now() + ls->backoff;
+    ls->backoff = std::min(ls->backoff * 2, config_.readmission_backoff_max);
+    if (!is_ap) readmit_if_due(target, *ls);
+  } else if (ls->state == ApLiveness::kSuspect) {
+    ls->enter(ApLiveness::kAlive, sched_.now());
+  }
+}
+
+void Controller::readmit_if_due(NodeId target, LivenessState& ls) {
+  if (ls.state != ApLiveness::kRecovering || sched_.now() < ls.readmit_at) {
+    return;
+  }
+  ls.enter(ApLiveness::kAlive, sched_.now());
+  if (target.kind == NodeId::Kind::kAp) {
+    readmit(net::ApId{target.index});
+  } else {
+    peer_recovered(target.index);
   }
 }
 
 void Controller::mark_dead(net::ApId ap) {
   const auto idx = static_cast<std::size_t>(net::index_of(ap));
-  LivenessState& ls = liveness_[idx];
-  ls.state = ApLiveness::kDead;
-  ls.state_since = sched_.now();
   ap_evicted_[idx] = true;
   ++stats_.aps_marked_dead;
   if (metrics_ && metrics_->ap_marked_dead) metrics_->ap_marked_dead->inc();
@@ -1219,7 +1206,7 @@ void Controller::mark_dead(net::ApId ap) {
       // down) it still believes it serves this client and must be quenched
       // once it is readmitted.
       const auto client = static_cast<net::ClientId>(ci);
-      ls.orphaned.push_back(client);
+      orphaned_[idx].push_back(client);
       force_failover(client, cs);
     }
   }
@@ -1254,14 +1241,11 @@ void Controller::force_failover(net::ClientId client, ClientState& cs) {
 
 void Controller::readmit(net::ApId ap) {
   const auto idx = static_cast<std::size_t>(net::index_of(ap));
-  LivenessState& ls = liveness_[idx];
-  ls.state = ApLiveness::kAlive;
-  ls.state_since = sched_.now();
   ap_evicted_[idx] = false;
   ++stats_.aps_readmitted;
   if (metrics_ && metrics_->ap_readmitted) metrics_->ap_readmitted->inc();
-  for (net::ClientId client : ls.orphaned) quench_orphan(ap, client);
-  ls.orphaned.clear();
+  for (net::ClientId client : orphaned_[idx]) quench_orphan(ap, client);
+  orphaned_[idx].clear();
 }
 
 void Controller::quench_orphan(net::ApId ap, net::ClientId client) {

@@ -11,11 +11,12 @@
 // uplink packets forwarded by multiple APs using the 48-bit
 // (source, IP-ID) key hashset (§3.2.2-§3.2.3).
 //
-// Liveness (opt-in, DESIGN.md §7): a periodic heartbeat per AP drives an
-// Alive -> Suspect -> Dead -> Recovering state machine. Dead APs are evicted
-// from the fan-out and the selection argmax, clients served by one are
-// force-failed-over by bootstrapping a live AP from the controller's own
-// index watermark, and readmission is flap-damped with exponential backoff.
+// Liveness (DESIGN.md §7): one heartbeat state machine (Alive -> Suspect ->
+// Dead -> Recovering) probes the APs (opt-in) and, with several domains, the
+// peer controllers. Dead APs are evicted from the fan-out and the selection
+// argmax, clients served by one are force-failed-over by bootstrapping a live
+// AP from the controller's own index watermark, and AP readmission is
+// flap-damped with exponential backoff.
 #pragma once
 
 #include <deque>
@@ -79,10 +80,11 @@ class Controller {
     /// (they consume jitter RNG draws), so fault-free seeded runs stay
     /// byte-identical unless a scenario opts in.
     bool liveness_enabled = false;
-    /// Heartbeat probe period per AP.
+    /// Heartbeat probe period per AP, and per peer controller when there
+    /// are several domains.
     Time heartbeat_interval = Time::ms(25);
-    /// Consecutive missed heartbeats before an AP is declared Dead. The
-    /// first miss already demotes Alive -> Suspect.
+    /// Consecutive missed heartbeats before an AP or a peer is declared
+    /// Dead. The first miss already demotes Alive -> Suspect.
     int heartbeat_miss_threshold = 3;
     /// Flap damping: a Dead AP that answers again waits this long before
     /// readmission, doubling per death up to the max.
@@ -91,7 +93,8 @@ class Controller {
     /// On forced failover the new AP is bootstrapped from the controller's
     /// own fan-out watermark, rewound by this many indices so packets the
     /// dead AP accepted but never delivered are replayed. The client's
-    /// duplicate suppression absorbs the overlap.
+    /// duplicate suppression absorbs the overlap. An inter-domain handover
+    /// pre-rewinds the transferred watermark by the same amount.
     std::uint16_t failover_replay = 32;
 
     // --- Multi-controller domains (DESIGN.md §12) ---
@@ -111,9 +114,6 @@ class Controller {
       /// aborts: no further attempt toward that domain until it expires
       /// (osmo-bsc penalty_timers).
       Time penalty_window = Time::ms(500);
-      /// The transferred watermark is pre-rewound by this many indices so
-      /// the target replays the tail in flight at transfer time.
-      std::uint16_t handover_replay = 32;
       /// Epoch leap applied when adopting a crashed neighbor's client from
       /// gossiped state: must exceed any epochs the dead controller can have
       /// minted since its last gossip, or the adopter's bootstrap start is
@@ -121,10 +121,6 @@ class Controller {
       std::uint32_t epoch_jump = 64;
       /// Most recent uplink dedup keys carried in the state transfer.
       std::size_t dedup_seed_max = 32;
-      /// Controller-to-controller heartbeat probing (the PR-5 machinery
-      /// reused peer-to-peer).
-      Time heartbeat_interval = Time::ms(25);
-      int miss_threshold = 3;
       /// Ownership gossip period (crash-adoption bootstrap + split-brain
       /// reconciliation).
       Time sync_interval = Time::ms(100);
@@ -279,7 +275,9 @@ class Controller {
   [[nodiscard]] bool handover_pending(net::ClientId client) const;
   /// The domain this controller believes owns the client.
   [[nodiscard]] std::uint32_t believed_owner(net::ClientId client) const;
-  /// This controller's view of a peer domain's liveness.
+  /// This controller's view of a peer domain's liveness. Only a Dead peer
+  /// is down: a Suspect one counts as alive, and a peer is readmitted as
+  /// soon as it answers, so it never waits in Recovering.
   [[nodiscard]] bool peer_alive(std::uint32_t domain) const;
   /// Last time this controller changed its mind about a peer's liveness
   /// (marked dead or recovered). Failover/return churn is in flight until
@@ -290,7 +288,7 @@ class Controller {
   /// APs this controller currently operates (home plus adopted).
   [[nodiscard]] const std::vector<net::ApId>& aps() const { return aps_; }
 
-  /// Per-AP liveness verdict, driven by the heartbeat state machine.
+  /// Liveness verdict of a heartbeat target (an AP or a peer controller).
   /// Dead and Recovering APs are evicted from the downlink fan-out and the
   /// ESNR selection argmax; Suspect APs keep serving (one missed heartbeat
   /// is not evidence enough to abandon a good radio link).
@@ -358,12 +356,8 @@ class Controller {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
-  struct ClientState : ClientDebug {
-    std::unique_ptr<sim::Timer> ack_timer;
-    // Slab bookkeeping: slots exist for every client index up to the
-    // highest registered one; only registered slots are live.
-    bool registered = false;
-    // --- Multi-domain ownership (inert in single-domain mode) ---
+  // One client's multi-domain state, allocated only when num_domains > 1.
+  struct DomainClient {
     bool owned = true;                // this domain owns the control plane
     std::uint32_t owner_domain = 0;   // believed owner (== domains.id if us)
     // Outstanding inter-domain handover (as the source domain).
@@ -383,6 +377,15 @@ class Controller {
     // Last-gossiped state while the client is believed owned elsewhere; the
     // crash-adoption bootstrap reads it.
     std::optional<net::DomainSync::Entry> gossip;
+  };
+  struct ClientState : ClientDebug {
+    std::unique_ptr<sim::Timer> ack_timer;
+    // Slab bookkeeping: slots exist for every client index up to the
+    // highest registered one; only registered slots are live.
+    bool registered = false;
+    std::unique_ptr<DomainClient> domain;  // null with one domain
+    // Does this controller own the control plane? Always, with one domain.
+    [[nodiscard]] bool owned() const { return !domain || domain->owned; }
   };
   struct Metrics;
 
@@ -425,19 +428,18 @@ class Controller {
   void initiate_handover(net::ClientId client, ClientState& cs,
                          net::ApId target, std::uint32_t target_domain);
   void send_handover_request(net::ClientId client, ClientState& cs);
-  void abort_handover(net::ClientId client, ClientState& cs);
+  void abort_handover(net::ClientId client, DomainClient& dc);
   /// Closes the outstanding handover (if any) without completing it.
-  void end_handover(ClientState& cs);
+  void end_handover(DomainClient& dc);
   void handle_handover_request(net::HandoverRequest&& msg);
   void handle_handover_ack(const net::HandoverAck& msg);
   [[nodiscard]] std::vector<std::uint32_t> collect_dedup_seed(
       net::ClientId client) const;
   /// Relays `msg` once to the client's believed owner, counting it in
   /// `stat` and `counter`; counted as misrouted when no alive owner exists.
-  void relay_to_owner(const ClientState& cs, net::BackhaulMessage msg,
+  void relay_to_owner(const DomainClient& dc, net::BackhaulMessage msg,
                       std::uint64_t& stat, obs::Counter* Metrics::*counter);
   void count_misrouted();
-  void domain_heartbeat_tick();
   void domain_sync_tick();
   [[nodiscard]] net::DomainSync build_domain_sync() const;
   void handle_domain_sync(const net::DomainSync& msg);
@@ -450,22 +452,28 @@ class Controller {
   void adopt_client(net::ClientId client, ClientState& cs);
   void return_domain(std::uint32_t recovered);
 
-  // Liveness machinery (no-ops while liveness is disabled).
+  // The heartbeat state machine, one LivenessState per target: the AP table
+  // is indexed by AP index, the peer table by domain id (self unused).
   struct LivenessState {
     ApLiveness state = ApLiveness::kAlive;
-    Time state_since = Time::zero();
+    Time since = Time::zero();     // when the target entered this state
     int misses = 0;
-    std::uint32_t hb_seq = 0;      // seq of the most recent probe
-    Time hb_sent_at = Time::zero();
-    bool ack_since_tick = true;    // an ack arrived since the last tick
+    std::uint32_t seq = 0;         // seq of the most recent probe
+    Time sent_at = Time::zero();
+    bool answered = true;          // an answer arrived since the last probe
     Time backoff = Time::zero();   // current readmission delay
     Time readmit_at = Time::zero();
-    // Clients failed over away while this AP was dead; quenched with a stop
-    // at readmission in case the AP (a zombie) still believes it serves.
-    std::vector<net::ClientId> orphaned;
+    void enter(ApLiveness to, Time now) { state = to; since = now; }
   };
-  void heartbeat_tick();
-  void handle_heartbeat_ack(const net::HeartbeatAck& msg);
+  /// The target's entry in the AP or the peer table; nullptr if it has none.
+  [[nodiscard]] LivenessState* liveness_of(net::NodeId target);
+  /// Judges the target's last probe (a miss, a death), readmits it if its
+  /// backoff has run out, then sends the next probe.
+  void probe(net::NodeId target);
+  /// Records an answer from the target; a Dead target starts recovering.
+  void answer(net::NodeId target, std::uint32_t seq);
+  /// Readmits a Recovering target whose backoff has run out.
+  void readmit_if_due(net::NodeId target, LivenessState& ls);
   void mark_dead(net::ApId ap);
   void readmit(net::ApId ap);
   void force_failover(net::ClientId client, ClientState& cs);
@@ -473,6 +481,8 @@ class Controller {
   [[nodiscard]] ClientState* state(net::ClientId client);
   [[nodiscard]] const ClientState* state(net::ClientId client) const;
   [[nodiscard]] bool ap_usable(net::ApId ap) const;
+  /// Sizes every per-AP-index array to at least `n` APs.
+  void cover_aps(std::size_t n);
   [[nodiscard]] const std::vector<bool>* eviction_mask() const {
     return config_.liveness_enabled ? &ap_evicted_ : nullptr;
   }
@@ -492,25 +502,21 @@ class Controller {
   // neighbor set for the bounded fan-out fallback.
   std::vector<std::vector<net::ApId>> ap_neighbors_;
 
-  // Liveness bookkeeping, indexed by AP index. ap_evicted_ mirrors
+  // AP liveness, indexed by AP index. ap_evicted_ mirrors
   // (state == Dead || state == Recovering) so the hot paths test one bit.
   std::vector<LivenessState> liveness_;
   std::vector<bool> ap_evicted_;
+  // Clients failed over away while the AP was dead; quenched with a stop at
+  // readmission in case the AP (a zombie) still believes it serves.
+  std::vector<std::vector<net::ClientId>> orphaned_;
   std::unique_ptr<sim::Timer> heartbeat_timer_;
 
   // Multi-domain state (empty / null in single-domain mode).
-  struct PeerState {
-    bool alive = true;
-    int misses = 0;
-    std::uint32_t hb_seq = 0;
-    bool ack_since_tick = true;  // no miss accrues before the first probe
-    Time state_since = Time::zero();
-  };
   const DomainMap* domain_map_ = nullptr;
-  std::vector<PeerState> peers_;       // indexed by domain id (self unused)
+  std::vector<LivenessState> peers_;   // peer liveness, by domain id
   std::vector<bool> adopted_by_me_;    // dead domains whose APs we operate
   std::optional<Time> last_peer_transition_;
-  std::unique_ptr<sim::Timer> domain_hb_timer_;
+  std::unique_ptr<sim::Timer> peer_heartbeat_timer_;
   std::unique_ptr<sim::Timer> domain_sync_timer_;
   PenaltyTimers penalty_;
   std::uint32_t ho_seq_counter_ = 0;

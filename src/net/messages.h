@@ -173,8 +173,9 @@ struct HandoverAck {
   std::uint32_t epoch = 0;
 };
 
-/// Controller -> peer controller: liveness probe, the PR-5 heartbeat
-/// machinery reused controller-to-controller.
+/// Controller -> peer controller: liveness probe. The controller judges
+/// peers with the same heartbeat state machine as its APs; the peer probe
+/// keeps its own message kind so fault plans can tell the two apart.
 struct DomainHeartbeat {
   std::uint32_t src_domain = 0;
   std::uint32_t seq = 0;

@@ -365,6 +365,30 @@ TEST(ControllerFailover, DegradedWithEveryControllerDownThenRecovers) {
   EXPECT_EQ(report.orphaned_clients, 0);
 }
 
+TEST(ControllerFailover, PeerDeathFollowsTheHeartbeatKnobs) {
+  // Peers run the AP heartbeat machine and read its knobs: with a 10 ms
+  // interval and 2 misses, a crashed peer is declared dead within
+  // (2 + 1) intervals of the crash.
+  scenario::WgttSystemConfig cfg;
+  cfg.geometry.seed = 1109;
+  cfg.num_domains = 2;
+  cfg.controller.heartbeat_interval = Time::ms(10);
+  cfg.controller.heartbeat_miss_threshold = 2;
+  cfg.controller_faults.push_back({.domain = 1, .crash_at = Time::sec(2)});
+  scenario::WgttSystem sys(cfg);
+  sys.start();
+  sys.run_until(Time::sec(3));
+
+  const core::Controller& c0 = sys.controller(0);
+  EXPECT_EQ(c0.stats().peers_marked_dead, 1u);
+  EXPECT_FALSE(c0.peer_alive(1));
+  const auto dead_at = c0.last_peer_transition();
+  ASSERT_TRUE(dead_at.has_value());
+  const double detect_ms = (*dead_at - Time::sec(2)).to_millis();
+  EXPECT_GE(detect_ms, 0.0);
+  EXPECT_LE(detect_ms, 10.0 * (2 + 1));
+}
+
 // --- the acceptance sweep: loss x crashes x seeds -----------------------------
 
 TEST(DomainSweep, InvariantsHoldUnderLossAndCrashes) {
