@@ -5,10 +5,11 @@
 // city. This bench scales the array to 1024 APs (~7.7 km of road) with 256
 // concurrent clients spread along it at constant density, and checks the
 // property that makes the design city-viable: per-client goodput stays
-// flat as the deployment grows, because the spatial index bounds every
-// hot-path cost (medium fan-out, CSI sampling, ESNR argmax, downlink
-// fan-out) to the O(1) picocell neighborhood around each client — total
-// work scales with clients, not with clients x APs.
+// flat as the deployment grows, because every hot-path cost (medium
+// fan-out, CSI sampling, ESNR argmax, downlink fan-out) is bounded to the
+// O(1) picocell neighborhood around each client — by the spatial index,
+// or, for the ESNR tracker, because only APs that heard a client hold a
+// link to it — so total work scales with clients, not with clients x APs.
 //
 // Knobs that differ from the paper-figure benches (all documented at their
 // definitions): Pattern::kDistributed keeps density constant over the
@@ -18,6 +19,8 @@
 //
 // --smoke runs two small 64-AP points through a 2-worker TrialPool
 // (sanitizer-compatible; registered as the bench-smoke-city ctest target).
+// No drive here scripts a fault, so a downlink packet dropped for an empty
+// fan-out set is a bug: the bench exits 1 if any drive drops one.
 #include <cstdio>
 #include <map>
 #include <string>
@@ -72,6 +75,12 @@ int main(int argc, char** argv) {
               "Mbit/s/client", "switches", "events/s", "violations");
 
   std::map<std::string, double> counters;
+  std::uint64_t empty_drops = 0;
+  const auto count_drops = [&](const std::string& tag, const DriveResult& r) {
+    counters["fanout_empty_drops_" + tag] =
+        static_cast<double>(r.fanout_empty_drops);
+    empty_drops += r.fanout_empty_drops;
+  };
   if (opts.smoke) {
     TrialPool pool({.jobs = opts.jobs});
     pool.submit(city_config(64, 8));
@@ -84,6 +93,7 @@ int main(int argc, char** argv) {
       counters["mbps_" + tag] = results[i].mean_mbps();
       counters["violations_" + tag] =
           static_cast<double>(results[i].invariant_violations);
+      count_drops(tag, results[i]);
     }
   } else {
     const std::pair<int, int> points[] = {{64, 16}, {256, 64}, {1024, 256}};
@@ -100,6 +110,7 @@ int main(int argc, char** argv) {
           static_cast<double>(r.switches) / r.duration_s;
       counters["violations_" + tag] =
           static_cast<double>(r.invariant_violations);
+      count_drops(tag, r);
       if (aps == points[0].first) mbps_first = r.mean_mbps();
       mbps_last = r.mean_mbps();
     }
@@ -114,5 +125,13 @@ int main(int argc, char** argv) {
   }
 
   report("ext/city_scale", counters);
-  return finish(argc, argv);
+  const int rc = finish(argc, argv);
+  if (empty_drops > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu downlink packets dropped for an empty fan-out "
+                 "set in a fault-free drive\n",
+                 static_cast<unsigned long long>(empty_drops));
+    return 1;
+  }
+  return rc;
 }

@@ -149,7 +149,6 @@ DriveResult run_drive(const DriveConfig& cfg) {
     scfg.ap_faults = cfg.ap_faults;
     scfg.ap.start_from_newest = cfg.start_from_newest;
     scfg.controller.bounded_fallback = cfg.bounded_fallback;
-    scfg.use_fanout_pool = cfg.fanout_pool;
     scfg.channel_reuse = cfg.channel_reuse;
     if (cfg.backhaul_link_rate_mbps) {
       scfg.backhaul.link_rate_mbps = *cfg.backhaul_link_rate_mbps;
@@ -481,6 +480,7 @@ DriveResult run_drive(const DriveConfig& cfg) {
       result.aps_readmitted += st.aps_readmitted;
       result.forced_failovers += st.forced_failovers;
       result.failovers_unserved += st.failovers_unserved;
+      result.fanout_empty_drops += st.fanout_empty_drops;
       result.handovers_completed += st.handovers_out;
       result.handover_retries += st.handover_retries;
       result.handover_aborts += st.handover_aborts;

@@ -72,9 +72,8 @@ struct DriveConfig {
   bool backhaul_batching = false;
   /// Batch window override (Backhaul::Config's 500 us default when unset).
   std::optional<Time> backhaul_batch_window;
-  /// WgttSystemConfig::use_fanout_pool — single-copy refcounted fan-out.
-  /// On by default (byte-identical either way); the equivalence tests force
-  /// it both ways.
+  /// Ignored, like WgttSystemConfig::use_fanout_pool: the fan-out is always
+  /// single-copy. Kept so existing callers compile.
   bool fanout_pool = true;
 
   // Knobs (paper parameters / ablations).
@@ -198,6 +197,9 @@ struct DriveResult {
   std::uint64_t aps_readmitted = 0;
   std::uint64_t forced_failovers = 0;
   std::uint64_t failovers_unserved = 0;
+  /// Downlink packets dropped because the fan-out set came up empty, summed
+  /// over every controller (Controller::Stats::fanout_empty_drops).
+  std::uint64_t fanout_empty_drops = 0;
   /// Downlink packets the clients' uid filters dropped (failover replay
   /// overlap that escaped the MAC scoreboard window).
   std::uint64_t downlink_dups_dropped = 0;

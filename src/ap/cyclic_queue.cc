@@ -4,18 +4,15 @@
 
 namespace wgtt::ap {
 
-CyclicQueue::CyclicQueue(net::PacketPool* pool)
-    : owned_pool_(pool == nullptr ? std::make_unique<net::PacketPool>()
-                                  : nullptr),
-      pool_(pool == nullptr ? owned_pool_.get() : pool) {}
+CyclicQueue::CyclicQueue(net::PacketPool* pool) : pool_(pool) {}
 // The slot ring is allocated on the first put(): every AP keeps one queue
 // per registered client, and at city scale (1024 APs x 256 clients) the
 // eager 32 KB rings alone would cost ~8 GB while only the handful of
 // queues near each client ever see a packet.
 
 CyclicQueue::~CyclicQueue() {
-  // Hand occupied slots back so a shared pool's accounting stays exact.
-  if (pool_ != nullptr) clear();
+  // Hand occupied slots back so the shared pool's accounting stays exact.
+  clear();
 }
 
 void CyclicQueue::put(std::uint16_t index, net::Packet packet) {
@@ -27,7 +24,6 @@ void CyclicQueue::put_handle(std::uint16_t index,
   index &= kIndexSpace - 1;
   if (slots_.empty()) slots_.resize(kIndexSpace);
   Slot& s = slots_[index];
-  ++puts_;
   if (!s.occupied) {
     ++occupied_;
   } else {

@@ -16,12 +16,11 @@
 // The ring itself is allocated lazily on the first put(), so the vast
 // majority of (AP, client) queues in a city-scale deployment — which never
 // receive a packet thanks to the bounded fan-out — cost a few pointers.
-// Queues of one AP share that AP's pool; a queue constructed without a pool
-// (tests, microbenches) owns a private one.
+// Every queue stores into a pool it is given: in a system, the one
+// system-wide payload pool the controller's fan-out acquires into.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -34,9 +33,8 @@ class CyclicQueue {
  public:
   static constexpr std::uint16_t kIndexSpace = 1u << 12;  // m = 12
 
-  /// `pool` backs the packet storage and must outlive the queue; nullptr
-  /// gives the queue a private pool.
-  explicit CyclicQueue(net::PacketPool* pool = nullptr);
+  /// `pool` backs the packet storage and must outlive the queue.
+  explicit CyclicQueue(net::PacketPool* pool);
   ~CyclicQueue();
 
   CyclicQueue(CyclicQueue&&) = default;
@@ -72,8 +70,6 @@ class CyclicQueue {
   /// backlog depth in the queue microbenchmarks.
   [[nodiscard]] std::optional<std::uint16_t> newest() const { return newest_; }
 
-  /// Lifetime put() calls, for occupancy/drop accounting.
-  [[nodiscard]] std::uint64_t puts() const { return puts_; }
   /// put() calls that displaced an undrained occupant — the ring lapped the
   /// drain (or a non-serving AP accumulated a full 12-bit lap), so a packet
   /// was silently lost. Nonzero here is the signal the paper's "4096 slots
@@ -91,12 +87,10 @@ class CyclicQueue {
     bool occupied = false;
     net::PacketPool::Handle handle = net::PacketPool::kNullHandle;
   };
-  std::unique_ptr<net::PacketPool> owned_pool_;  // only when none was shared
   net::PacketPool* pool_;
   std::vector<Slot> slots_;
   std::size_t occupied_ = 0;
   std::optional<std::uint16_t> newest_;
-  std::uint64_t puts_ = 0;
   std::uint64_t overwrites_ = 0;
 };
 

@@ -11,8 +11,8 @@ using net::BackhaulMessage;
 using net::NodeId;
 
 WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
-               net::Backhaul& backhaul, Rng rng, Config config,
-               mac::Medium::PositionFn position)
+               net::Backhaul& backhaul, net::PacketPool& payload_pool, Rng rng,
+               Config config, mac::Medium::PositionFn position)
     : id_(id),
       sched_(sched),
       backhaul_(backhaul),
@@ -22,7 +22,8 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
         c.mac.accept_bssid = true;  // thin-AP shared BSSID
         return c;
       }()),
-      mac_(sched, medium, rng_.fork(), config_.mac) {
+      mac_(sched, medium, rng_.fork(), config_.mac),
+      payload_pool_(payload_pool) {
   mac_.attach(std::move(position));
   mac_.on_deliver = [this](mac::RadioId from, const net::Packet& pkt) {
     // Uplink data decoded by this AP: tunnel to the controller (§3.2.2).
@@ -92,14 +93,8 @@ void WgttAp::set_ap_directory(
 
 void WgttAp::register_client(net::ClientId client, mac::RadioId radio) {
   if (clients_.contains(client)) return;
-  ClientState cs;
-  cs.radio = radio;
-  // Queues share the system-wide payload pool when one is wired (pooled
-  // fan-out handles must land in the pool that owns them), the AP-wide
-  // pool otherwise.
-  cs.queue =
-      CyclicQueue(payload_pool_ != nullptr ? payload_pool_ : &packet_pool_);
-  clients_.emplace(client, std::move(cs));
+  // Fan-out handles must land in the pool that owns them.
+  clients_.try_emplace(client, radio, &payload_pool_);
   client_of_radio_[radio] = client;
   mac_.add_peer(radio);
   // WGTT APs have per-frame CSI; drive the rate from it (§4.2 keeps the
@@ -156,12 +151,11 @@ Time WgttAp::draw_delay(Time mean, Time std) {
 void WgttAp::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
   // Belt and braces: the scenario takes a crashed AP's backhaul link down,
   // so nothing should arrive here — but a dead process handles nothing.
-  // A pooled payload reaching a corpse still owns a pool reference, which
-  // must be dropped or the slot leaks for the rest of the run.
+  // A payload reaching a corpse still owns a pool reference, which must be
+  // dropped or the slot leaks for the rest of the run.
   if (crashed_) {
-    if (const auto* d = std::get_if<net::DownlinkData>(&msg);
-        d != nullptr && d->pooled() && payload_pool_ != nullptr) {
-      payload_pool_->drop(d->handle);
+    if (const auto* d = std::get_if<net::DownlinkData>(&msg)) {
+      payload_pool_.drop(d->handle);
     }
     return;
   }
@@ -221,23 +215,17 @@ void WgttAp::restart() {
 }
 
 void WgttAp::handle_downlink(net::DownlinkData&& msg) {
-  const bool pooled = msg.pooled() && payload_pool_ != nullptr;
-  // A pooled message carries no Packet body; the client is read through
-  // the shared pool (one indexed load, the handle stays shared).
-  const net::ClientId client =
-      pooled ? payload_pool_->get(msg.handle)->client : msg.packet.client;
+  // The message carries no Packet body; the client is read through the
+  // shared pool (one indexed load, the handle stays shared).
+  const net::ClientId client = payload_pool_.get(msg.handle)->client;
   ClientState* cs = client_state(client);
   if (cs == nullptr) {  // not yet associated here
-    if (pooled) payload_pool_->drop(msg.handle);
+    payload_pool_.drop(msg.handle);
     return;
   }
   ++stats_.downlink_received;
   const std::uint64_t overwrites_before = cs->queue.overwrites();
-  if (pooled) {
-    cs->queue.put_handle(msg.index, msg.handle);  // adopts the reference
-  } else {
-    cs->queue.put(msg.index, std::move(msg.packet));
-  }
+  cs->queue.put_handle(msg.index, msg.handle);  // adopts the reference
   if (metrics_) {
     metrics_->downlink_received->inc();
     metrics_->cyclic_overwrites->inc(cs->queue.overwrites() -

@@ -106,16 +106,13 @@ class WgttAp {
     std::uint64_t starts_clamped_forward = 0;
   };
 
+  /// `payload_pool` is the system-wide downlink payload pool (owned by the
+  /// scenario; must outlive the AP). The controller's DownlinkData handles
+  /// land in cyclic queues backed by it, and every path that discards one
+  /// (unknown client, crashed AP) drops its reference.
   WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
-         net::Backhaul& backhaul, Rng rng, Config config,
-         mac::Medium::PositionFn position);
-
-  /// Wires the system-wide payload pool (owned by the scenario; must
-  /// outlive the AP). Pooled DownlinkData handles land in cyclic queues
-  /// backed by this shared pool instead of the AP-private one, and every
-  /// path that discards a pooled message (unknown client, crashed AP)
-  /// drops its reference. Call before register_client.
-  void set_payload_pool(net::PacketPool* pool) { payload_pool_ = pool; }
+         net::Backhaul& backhaul, net::PacketPool& payload_pool, Rng rng,
+         Config config, mac::Medium::PositionFn position);
 
   /// Maps a peer radio to the owning AP, for BA forwarding (the overheard
   /// BA's destination address names the serving AP's radio). Wired by the
@@ -169,11 +166,6 @@ class WgttAp {
   /// system-wide gauges instead of two map lookups per (AP, client) pair.
   void queue_totals(std::size_t& cyclic_backlog_total,
                     std::size_t& hw_queue_total) const;
-  /// The AP-wide pool behind the per-client cyclic queues (live packet
-  /// count, peak backlog, allocated capacity).
-  [[nodiscard]] const net::PacketPool& packet_pool() const {
-    return packet_pool_;
-  }
 
   /// The controller address this AP reports to (uplink, CSI, switch acks,
   /// heartbeat echoes). Defaults to the legacy single-controller address;
@@ -210,6 +202,7 @@ class WgttAp {
   };
 
   struct ClientState {
+    ClientState(mac::RadioId r, net::PacketPool* pool) : radio(r), queue(pool) {}
     mac::RadioId radio{};
     CyclicQueue queue;
     bool serving = false;
@@ -241,13 +234,8 @@ class WgttAp {
   Config config_;
   mac::WifiMac mac_;
   std::function<std::optional<net::ApId>(mac::RadioId)> ap_of_radio_;
-  /// Backs every per-client cyclic queue on this AP when no system-wide
-  /// pool is wired; declared before clients_ so the queues release their
-  /// handles into a live pool.
-  net::PacketPool packet_pool_;
-  /// The shared fan-out pool (set_payload_pool), or nullptr for the legacy
-  /// per-AP pool above.
-  net::PacketPool* payload_pool_ = nullptr;
+  /// Backs every per-client cyclic queue on this AP.
+  net::PacketPool& payload_pool_;
   std::unordered_map<net::ClientId, ClientState> clients_;
   std::unordered_map<mac::RadioId, net::ClientId> client_of_radio_;
   /// Clients with cs.serving == true, sorted by client index (see

@@ -21,9 +21,10 @@ std::uint64_t dedup_key(net::ClientId client, std::uint32_t ip_id) {
 }  // namespace
 
 Controller::Controller(sim::Scheduler& sched, net::Backhaul& backhaul,
-                       Config config)
+                       net::PacketPool& payload_pool, Config config)
     : sched_(sched),
       backhaul_(backhaul),
+      payload_pool_(payload_pool),
       config_(config),
       tracker_(config.selection_window) {
   backhaul_.attach(self_node(),
@@ -189,22 +190,6 @@ const Controller::ClientState* Controller::state(net::ClientId client) const {
   const auto idx = static_cast<std::size_t>(net::index_of(client));
   if (idx >= clients_.size() || !clients_[idx].registered) return nullptr;
   return &clients_[idx];
-}
-
-void Controller::set_spatial(const SpatialIndex* index,
-                             double neighbor_radius_m) {
-  tracker_.set_spatial(index, neighbor_radius_m);
-  ap_neighbors_.clear();
-  if (index == nullptr || index->empty()) return;
-  ap_neighbors_.resize(static_cast<std::size_t>(index->num_aps()));
-  for (net::ApId ap : aps_) {
-    const auto i = static_cast<int>(net::index_of(ap));
-    if (i >= index->num_aps()) continue;
-    std::vector<int> near = index->neighbors(index->ap_x(i), neighbor_radius_m);
-    auto& out = ap_neighbors_[static_cast<std::size_t>(i)];
-    out.reserve(near.size());
-    for (int n : near) out.push_back(static_cast<net::ApId>(n));
-  }
 }
 
 void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
@@ -469,10 +454,14 @@ void Controller::send_downlink(net::Packet packet) {
   std::vector<net::ApId> targets =
       tracker_.fresh_aps(packet.client, sched_.now(), config_.fanout_freshness);
   if (targets.empty()) {
-    const int anchor =
-        config_.bounded_fallback ? tracker_.anchor_ap(packet.client) : -1;
-    if (anchor >= 0 && static_cast<std::size_t>(anchor) < ap_neighbors_.size()) {
-      targets = ap_neighbors_[static_cast<std::size_t>(anchor)];
+    const int anchor = config_.bounded_fallback && spatial_ != nullptr
+                           ? tracker_.anchor_ap(packet.client)
+                           : -1;
+    if (anchor >= 0 && anchor < spatial_->num_aps()) {
+      for (int n : spatial_->neighbors(spatial_->ap_x(anchor),
+                                       neighbor_radius_m_)) {
+        targets.push_back(static_cast<net::ApId>(n));
+      }
     } else {
       targets = aps_;
     }
@@ -490,30 +479,22 @@ void Controller::send_downlink(net::Packet packet) {
     if (on_fanout_empty) on_fanout_empty(packet.client, sched_.now());
     return;
   }
-  if (payload_pool_ != nullptr) {
-    // Single-copy fan-out (DESIGN.md §10): the payload enters the pool
-    // once; every target gets a 4-byte handle plus one reference. The
-    // wire size is cached in the message so backhaul latency accounting
-    // never touches the pool.
-    const auto tunnel_bytes = static_cast<std::uint32_t>(packet.tunnel_bytes());
-    const net::PacketPool::Handle h = payload_pool_->acquire(std::move(packet));
-    for (net::ApId ap : targets) {
-      ++stats_.downlink_fanout_copies;
-      payload_pool_->add_ref(h);
-      net::DownlinkData msg;
-      msg.index = index;
-      msg.handle = h;
-      msg.tunnel_bytes = tunnel_bytes;
-      backhaul_.send(self_node(), NodeId::ap(ap), std::move(msg));
-    }
-    payload_pool_->drop(h);  // the acquisition reference; targets hold theirs
-  } else {
-    for (net::ApId ap : targets) {
-      ++stats_.downlink_fanout_copies;
-      backhaul_.send(self_node(), NodeId::ap(ap),
-                     net::DownlinkData{packet, index});
-    }
+  // Single-copy fan-out (DESIGN.md §10): the payload enters the pool once;
+  // every target gets a 4-byte handle plus one reference. The wire size is
+  // cached in the message so backhaul latency accounting never touches the
+  // pool.
+  const auto tunnel_bytes = static_cast<std::uint32_t>(packet.tunnel_bytes());
+  const net::PacketPool::Handle h = payload_pool_.acquire(std::move(packet));
+  for (net::ApId ap : targets) {
+    ++stats_.downlink_fanout_copies;
+    payload_pool_.add_ref(h);
+    net::DownlinkData msg;
+    msg.index = index;
+    msg.handle = h;
+    msg.tunnel_bytes = tunnel_bytes;
+    backhaul_.send(self_node(), NodeId::ap(ap), std::move(msg));
   }
+  payload_pool_.drop(h);  // the acquisition reference; targets hold theirs
   if (metrics_) metrics_->fanout_copies->inc(targets.size());
 }
 

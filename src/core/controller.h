@@ -202,7 +202,11 @@ class Controller {
     net::ApId to;
   };
 
-  Controller(sim::Scheduler& sched, net::Backhaul& backhaul, Config config);
+  /// `payload_pool` is the system-wide downlink payload pool (owned by the
+  /// scenario; must outlive the controller): send_downlink acquires each
+  /// packet once and fans out N refcounted 4-byte handles (DESIGN.md §10).
+  Controller(sim::Scheduler& sched, net::Backhaul& backhaul,
+             net::PacketPool& payload_pool, Config config);
 
   void add_ap(net::ApId ap);
   void add_client(net::ClientId client);
@@ -228,19 +232,15 @@ class Controller {
   /// fan-out set was empty (see Stats::fanout_empty_drops).
   std::function<void(net::ClientId, Time)> on_fanout_empty;
 
-  /// Wires the system-wide payload pool (owned by the scenario; must
-  /// outlive the controller). With a pool, send_downlink acquires each
-  /// packet once and fans out N refcounted 4-byte handles instead of N
-  /// Packet copies (DESIGN.md §10). nullptr (the default) keeps the legacy
-  /// copying fan-out — the pooled-vs-copied equivalence test drives both.
-  void set_payload_pool(net::PacketPool* pool) { payload_pool_ = pool; }
-
   /// Wires the road-segment spatial index (owned by the scenario; must
-  /// outlive the controller). Bounds the tracker's per-client ESNR scans to
-  /// `neighbor_radius_m` of the client's anchor AP and enables the bounded
-  /// fan-out fallback when that knob is set. Call once, after every add_ap.
-  /// nullptr detaches.
-  void set_spatial(const SpatialIndex* index, double neighbor_radius_m);
+  /// outlive the controller). With bounded_fallback, a packet for a client
+  /// with no fresh CSI fans out to the APs within `neighbor_radius_m` of the
+  /// client's anchor AP, looked up when the fallback happens. nullptr
+  /// detaches.
+  void set_spatial(const SpatialIndex* index, double neighbor_radius_m) {
+    spatial_ = index;
+    neighbor_radius_m_ = neighbor_radius_m;
+  }
 
   /// Wires the deployment-wide domain map (owned by the scenario; must
   /// outlive the controller). Sizes the liveness/eviction arrays to the
@@ -489,8 +489,8 @@ class Controller {
 
   sim::Scheduler& sched_;
   net::Backhaul& backhaul_;
+  net::PacketPool& payload_pool_;
   Config config_;
-  net::PacketPool* payload_pool_ = nullptr;
   EsnrTracker tracker_;
   std::vector<net::ApId> aps_;
   // Per-client state lives in a dense slab indexed by net::index_of(client)
@@ -498,9 +498,10 @@ class Controller {
   // an array index instead of a hash probe.
   std::vector<ClientState> clients_;
 
-  // Spatial interest management (set_spatial): the precomputed per-AP
-  // neighbor set for the bounded fan-out fallback.
-  std::vector<std::vector<net::ApId>> ap_neighbors_;
+  // Spatial interest management (set_spatial): the bounded fallback's
+  // neighborhood query.
+  const SpatialIndex* spatial_ = nullptr;
+  double neighbor_radius_m_ = 0.0;
 
   // AP liveness, indexed by AP index. ap_evicted_ mirrors
   // (state == Dead || state == Recovering) so the hot paths test one bit.

@@ -12,23 +12,18 @@
 // allocation-free in steady state) instead of re-sorting the window on
 // every report; the two are bit-identical, which core_test asserts.
 //
-// Links are stored contiguously per client (first-heard order, preserving
-// the argmax tie-break of the original per-client AP list), and when a
-// SpatialIndex is wired via set_spatial the per-client scans are bounded to
-// APs within the neighbor radius of the client's anchor AP — the last AP to
-// report CSI. Any AP with an in-window sample or fresh last_heard is within
-// 2 * sense_range of the anchor (both had to hear the client within the
-// freshness horizon, during which the client moves metres, not hundreds of
-// metres), so a radius of 2 * sense_range plus slack makes the bounded scan
-// return byte-identical results to the full scan; spatial_test proves this
-// over a seeded sweep.
+// Links are stored contiguously per client in first-heard order, which
+// fixes the argmax tie-break and the fan-out order. The per-client scans
+// walk every link: only APs that heard the client ever get one, so the list
+// is bounded by the APs audible along the client's path. The anchor AP (the
+// last one to report CSI) locates the client for the controller's bounded
+// fan-out fallback.
 #pragma once
 
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "core/spatial_index.h"
 #include "core/streaming_median.h"
 #include "net/ids.h"
 #include "util/units.h"
@@ -69,13 +64,6 @@ class EsnrTracker {
 
   [[nodiscard]] Time window() const { return window_; }
 
-  /// Bounds per-client scans to APs within `radius_m` (along the road) of
-  /// the client's anchor AP. Links are never deleted — only skipped by the
-  /// reach filter — so iteration order (and with it every tie-break) stays
-  /// identical to the unbounded tracker. `index` must outlive the tracker;
-  /// nullptr restores the unbounded behaviour.
-  void set_spatial(const SpatialIndex* index, double radius_m);
-
   /// AP index of the last AP to report CSI for this client, or -1.
   [[nodiscard]] int anchor_ap(net::ClientId client) const;
 
@@ -94,11 +82,8 @@ class EsnrTracker {
 
   [[nodiscard]] Link* find_link(PerClient& pc, net::ApId ap);
   [[nodiscard]] const Link* find_link(const PerClient& pc, net::ApId ap) const;
-  [[nodiscard]] bool in_reach(const PerClient& pc, net::ApId ap) const;
 
   Time window_;
-  const SpatialIndex* spatial_ = nullptr;
-  double radius_m_ = 0.0;
   std::unordered_map<net::ClientId, PerClient> clients_;
 };
 

@@ -9,13 +9,8 @@ Medium::Medium(sim::Scheduler& sched, const Config& config)
     : sched_(sched), config_(config) {}
 
 RadioId Medium::add_radio(PositionFn position, RxHandler on_rx) {
-  radios_.push_back(Radio{std::move(position), std::move(on_rx), true, 1});
+  radios_.push_back(Radio{std::move(position), std::move(on_rx), 1});
   return RadioId{static_cast<std::uint32_t>(radios_.size() - 1)};
-}
-
-void Medium::remove_radio(RadioId id) {
-  const auto i = static_cast<std::size_t>(id);
-  if (i < radios_.size()) radios_[i].active = false;
 }
 
 void Medium::set_radio_channel(RadioId id, int channel) {
@@ -80,13 +75,13 @@ std::uint64_t Medium::transmit(RadioId from, Frame frame, Time duration) {
     reach_(origin, reach_scratch_);
     for (const RadioId rid : reach_scratch_) {
       const auto r = static_cast<std::size_t>(rid);
-      if (r == from_idx || r >= radios_.size() || !radios_[r].active) continue;
+      if (r == from_idx || r >= radios_.size()) continue;
       sched_.schedule_at(end, [this, r, frame] { deliver(r, frame); },
                          sim::EventCategory::kMacRx);
     }
   } else {
     for (std::size_t r = 0; r < radios_.size(); ++r) {
-      if (r == from_idx || !radios_[r].active) continue;
+      if (r == from_idx) continue;
       sched_.schedule_at(end, [this, r, frame] { deliver(r, frame); },
                          sim::EventCategory::kMacRx);
     }
@@ -95,7 +90,6 @@ std::uint64_t Medium::transmit(RadioId from, Frame frame, Time duration) {
 }
 
 void Medium::deliver(std::size_t r, const Frame& frame) {
-  if (r >= radios_.size() || !radios_[r].active) return;
   const channel::Vec2 pos = radios_[r].position();
   const int ch = radios_[r].channel;
   // Find this flight again (it is pruned lazily, so it may linger).

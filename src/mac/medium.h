@@ -76,9 +76,6 @@ class Medium {
   /// monitor-mode overhearing). Radios start on channel 1.
   RadioId add_radio(PositionFn position, RxHandler on_rx);
 
-  /// Unregisters (keeps ids stable; slot becomes inert).
-  void remove_radio(RadioId id);
-
   /// Retunes a radio. Frames are only audible between same-channel radios;
   /// a radio on kNoChannel hears nothing (mid-retune blackout). Implements
   /// the paper's §7 multi-channel discussion: putting adjacent APs on
@@ -105,7 +102,6 @@ class Medium {
   struct Radio {
     PositionFn position;
     RxHandler on_rx;
-    bool active = false;
     int channel = 1;
   };
   struct Flight {

@@ -543,13 +543,11 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
 }
 
 void WifiMac::enable_beacons(Time interval) {
-  beacons_enabled_ = true;
   beacon_interval_ = interval;
   if (!beacon_timer_) {
     beacon_timer_ = std::make_unique<sim::Timer>(
         sched_,
         [this] {
-          if (!beacons_enabled_) return;
           mgmt_queue_.push_back(MgmtItem{kBroadcast, BeaconFrame{}});
           kick();
           beacon_timer_->start(beacon_interval_);
@@ -557,11 +555,6 @@ void WifiMac::enable_beacons(Time interval) {
         sim::EventCategory::kMacTx);
   }
   beacon_timer_->start(beacon_interval_);
-}
-
-void WifiMac::disable_beacons() {
-  beacons_enabled_ = false;
-  if (beacon_timer_) beacon_timer_->cancel();
 }
 
 void WifiMac::send_mgmt(RadioId peer, MgmtFrame frame) {

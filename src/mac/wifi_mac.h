@@ -135,7 +135,6 @@ class WifiMac {
 
   // --- management / beacons (baseline) -------------------------------------
   void enable_beacons(Time interval);
-  void disable_beacons();
   void send_mgmt(RadioId peer, MgmtFrame frame);
 
   // --- stats ---------------------------------------------------------------
@@ -261,7 +260,6 @@ class WifiMac {
   RxDupFilter shared_filter_;
   std::unordered_map<RadioId, RxDupFilter> per_sender_filter_;
 
-  bool beacons_enabled_ = false;
   Time beacon_interval_ = Time::ms(100);
   std::unique_ptr<sim::Timer> beacon_timer_;
   std::uint64_t ba_heard_ = 0;

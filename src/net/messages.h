@@ -19,13 +19,13 @@ namespace wgtt::net {
 /// Controller -> AP: a downlink data packet, tunnelled, carrying the
 /// client's 12-bit index number for the cyclic queue (§3.1.2).
 ///
-/// Two payload representations (DESIGN.md §10). Legacy: the Packet rides in
-/// `packet` by value, copied once per fan-out target. Pooled: the payload
-/// lives once in the system-wide PacketPool and `handle` carries one
-/// reference to it — the message body is then 4 bytes of handle plus the
-/// cached wire size (`tunnel_bytes`, so backhaul latency accounting never
-/// needs the pool). Whoever destroys a pooled message without delivering it
-/// must drop its reference.
+/// Two payload representations (DESIGN.md §10). The WGTT controller's
+/// fan-out is pooled: the payload lives once in the system-wide PacketPool
+/// and `handle` carries one reference to it — the message body is then 4
+/// bytes of handle plus the cached wire size (`tunnel_bytes`, so backhaul
+/// latency accounting never needs the pool). Whoever destroys a pooled
+/// message without delivering it must drop its reference. The 802.11r
+/// baseline's Router sends the Packet by value in `packet`.
 struct DownlinkData {
   Packet packet;
   std::uint16_t index = 0;  // m = 12-bit index number

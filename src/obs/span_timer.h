@@ -37,9 +37,6 @@ class SpanTracker {
     return ms;
   }
 
-  /// Drops the span for `key` without observing (protocol aborted).
-  void cancel(std::uint64_t key) { open_.erase(key); }
-
   [[nodiscard]] std::size_t open_spans() const { return open_.size(); }
 
  private:

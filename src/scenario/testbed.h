@@ -67,9 +67,8 @@ class TestbedGeometry {
   [[nodiscard]] channel::Vec2 client_position(int client, Time now) const;
   [[nodiscard]] const mobility::Trajectory& trajectory(int client) const;
 
-  /// Road x-coordinates covered by the array (first and last AP), for
-  /// aligning measurement windows with the transit.
-  [[nodiscard]] double first_ap_x() const { return 0.0; }
+  /// Road x-coordinate of the last AP (the first sits at 0), for aligning
+  /// measurement windows with the transit.
   [[nodiscard]] double last_ap_x() const {
     return (config_.num_aps - 1) * config_.ap_spacing_m;
   }

@@ -11,6 +11,15 @@ namespace {
 /// flight (centimetres at transit speeds) with room to spare, so the
 /// filtered candidate set is always a superset of the audible set.
 constexpr double kReachMarginM = 5.0;
+/// Road-segment (grid cell) width of the spatial index. APs are 7.5 m apart
+/// in the testbed, so a segment holds ~4 APs. Segments serve only the
+/// multi-domain partition: its cuts fall on segment boundaries.
+constexpr double kSegmentM = 30.0;
+/// Added to 2 * sense range to form the bounded fallback's neighbourhood
+/// radius: any AP that could hold fresh CSI for a client anchored at AP a
+/// heard the client within sense range, and the client moved < 50 m since
+/// (DESIGN.md §9).
+constexpr double kNeighborSlackM = 50.0;
 }  // namespace
 
 WgttSystem::WgttSystem(const WgttSystemConfig& config)
@@ -32,27 +41,23 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
   for (int i = 0; i < config_.geometry.num_aps; ++i) {
     xs.push_back(geometry_.ap_position(i).x);
   }
-  spatial_index_.build(std::move(xs), config_.spatial.cell_m);
-  spatial_radius_m_ = config_.spatial.neighbor_radius_m > 0.0
-                          ? config_.spatial.neighbor_radius_m
-                          : 2.0 * config_.medium.sense_range_m + 50.0;
+  spatial_index_.build(std::move(xs), kSegmentM);
   const int nd = std::clamp(config_.num_domains, 1,
                             std::max(1, config_.geometry.num_aps));
   if (nd > 1) domain_map_.build(spatial_index_, static_cast<std::uint32_t>(nd));
-  if (config_.use_fanout_pool) backhaul_.set_payload_pool(&payload_pool_);
+  // Single-copy fan-out: the controller acquires once, each target AP holds
+  // a reference, and the backhaul drops/refs payloads along with the
+  // messages it loses or duplicates.
+  backhaul_.set_payload_pool(&payload_pool_);
   for (int d = 0; d < nd; ++d) {
     core::Controller::Config ccfg = config_.controller;
     ccfg.domains.id = static_cast<std::uint32_t>(d);
     ccfg.domains.num_domains = static_cast<std::uint32_t>(nd);
-    auto ctrl = std::make_unique<core::Controller>(sched_, backhaul_, ccfg);
+    auto ctrl = std::make_unique<core::Controller>(sched_, backhaul_,
+                                                   payload_pool_, ccfg);
     if (nd > 1) ctrl->set_domain_map(&domain_map_);
-    if (config_.use_fanout_pool) {
-      // Single-copy fan-out: the controller acquires once, each target AP
-      // holds a reference, and the backhaul drops/refs payloads along with
-      // the messages it loses or duplicates.
-      ctrl->set_payload_pool(&payload_pool_);
-    }
-    ctrl->set_spatial(&spatial_index_, spatial_radius_m_);
+    ctrl->set_spatial(&spatial_index_,
+                      2.0 * config_.medium.sense_range_m + kNeighborSlackM);
     ctrl->on_ownership_changed = [this](net::ClientId c, std::uint32_t owner) {
       const std::size_t i = net::index_of(c);
       if (i < owner_of_.size()) owner_of_[i] = static_cast<int>(owner);
@@ -62,9 +67,8 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
   for (int i = 0; i < config_.geometry.num_aps; ++i) {
     const net::ApId ap_id{static_cast<std::uint32_t>(i)};
     auto ap = std::make_unique<ap::WgttAp>(
-        ap_id, sched_, medium_, backhaul_, rng_.fork(), config_.ap,
-        [this, i] { return geometry_.ap_position(i); });
-    if (config_.use_fanout_pool) ap->set_payload_pool(&payload_pool_);
+        ap_id, sched_, medium_, backhaul_, payload_pool_, rng_.fork(),
+        config_.ap, [this, i] { return geometry_.ap_position(i); });
     ap_idx_of_radio_[ap->mac().radio()] = i;
     ap->mac().set_channel_sampler(
         [this, i](mac::RadioId peer) {

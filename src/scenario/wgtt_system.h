@@ -94,25 +94,6 @@ struct ControllerFaultScript {
   std::optional<Time> restart_at;
 };
 
-/// Spatial interest management (DESIGN.md §9): a road-segment index over
-/// the AP positions that bounds every per-(client, AP) hot-path scan —
-/// medium delivery fan-out, CSI sampling, ESNR argmax, downlink fan-out —
-/// to the O(1) neighborhood that can physically matter. Every candidate set
-/// it yields equals the brute O(APs) scan's (tests/spatial_test.cc checks
-/// this step by step against test-side oracles).
-struct SpatialConfig {
-  /// Road-segment (grid cell) width. APs are 7.5 m apart in the testbed,
-  /// so 30 m buckets ~4 APs per segment. Segments serve only the
-  /// multi-domain partition: its cuts fall on segment boundaries.
-  double cell_m = 30.0;
-  /// Neighborhood radius for per-client AP interest (tracker scans, bounded
-  /// fan-out fallback). 0 derives the safe default 2 * sense_range + 50 m:
-  /// any AP that could hold in-window or fresh CSI for a client anchored at
-  /// AP a heard the client within sense range, and the client moved < 50 m
-  /// since (see esnr_tracker.h).
-  double neighbor_radius_m = 0.0;
-};
-
 struct WgttSystemConfig {
   GeometryConfig geometry{};
   mac::Medium::Config medium{};
@@ -120,7 +101,6 @@ struct WgttSystemConfig {
   core::Controller::Config controller{};
   ap::WgttAp::Config ap{};
   core::WgttClient::Config client{};
-  SpatialConfig spatial{};
   /// One-way wire latency between the (local) server and the controller.
   Time server_latency = Time::ms(1);
   /// Channel reuse factor (paper §7 "Multi-channel settings"). 1 = the
@@ -149,12 +129,9 @@ struct WgttSystemConfig {
   int num_domains = 1;
   /// Scripted controller crashes/restarts. Ignored with num_domains == 1.
   std::vector<ControllerFaultScript> controller_faults;
-  /// Single-copy downlink fan-out: the controller acquires each downlink
-  /// packet once in a system-wide net::PacketPool and fans 4-byte
-  /// refcounted handles out to the in-range APs instead of N payload
-  /// copies. Pure memory/CPU optimisation — every delivered byte, metric
-  /// and RNG draw is identical with it off (tests/backhaul_model_test.cc
-  /// proves this seed-by-seed), so it defaults on.
+  /// Ignored. The downlink fan-out always acquires each packet once in the
+  /// system-wide net::PacketPool and sends 4-byte refcounted handles
+  /// (DESIGN.md §10); the field remains only so existing callers compile.
   bool use_fanout_pool = true;
 };
 
@@ -283,13 +260,11 @@ class WgttSystem {
   sim::Scheduler sched_;
   mac::Medium medium_;
   net::Backhaul backhaul_;
-  // Shared downlink payload pool (use_fanout_pool). Declared before the
-  // controller and APs so their queues (which hold pool references) are
-  // destroyed first.
+  // Shared downlink payload pool. Declared before the controllers and APs
+  // so their queues (which hold pool references) are destroyed first.
   net::PacketPool payload_pool_;
   TestbedGeometry geometry_;
   core::SpatialIndex spatial_index_;
-  double spatial_radius_m_ = 0.0;
   mutable std::vector<int> spatial_scratch_;
   mutable std::vector<BoundedCandidate> probe_scratch_;
   core::DomainMap domain_map_;

@@ -112,11 +112,6 @@ void Scheduler::run_before(Time limit) {
   // schedule_at must not clamp them forward.
 }
 
-Time Scheduler::next_event_time() {
-  while (!heap_.empty() && !slots_[heap_.front().slot].armed) pop_top();
-  return heap_.empty() ? Time::max() : heap_.front().when;
-}
-
 void Scheduler::run_all() {
   while (step()) {
   }

@@ -82,13 +82,6 @@ class Scheduler {
   [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Earliest pending event time, or Time::max() when the queue is empty.
-  /// Non-const: stale keys of cancelled events surfacing at the top are
-  /// dropped on the way (they carry no information). Intended for callers
-  /// that want to skip idle virtual time (e.g. a window-skip reduction in a
-  /// conservative parallel engine); today only tests exercise it.
-  [[nodiscard]] Time next_event_time();
-
   /// Attaches (or, with nullptr, detaches) a wall-time profiler. While one
   /// is attached, step() takes ONE ProfileClock read per event and charges
   /// the elapsed time since the previous read — heap pop, cancelled-key

@@ -1,6 +1,5 @@
 #include "trace/tracer.h"
 
-#include <algorithm>
 #include <ostream>
 
 #include "scenario/wgtt_system.h"
@@ -36,59 +35,6 @@ std::size_t Tracer::count(EventKind kind, int client) const {
   return n;
 }
 
-std::vector<double> Tracer::throughput_mbps(int client, Time bin,
-                                            Time horizon) const {
-  const auto bins = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, horizon / bin));
-  std::vector<double> out(bins, 0.0);
-  events_.for_each([&](const Event& e) {
-    if (e.kind != EventKind::kPacketDelivered || e.client != client) return;
-    const auto idx = static_cast<std::size_t>(e.when / bin);
-    if (idx < bins) out[idx] += e.value * 8.0;  // bytes -> bits
-  });
-  const double bin_s = bin.to_seconds();
-  for (double& v : out) v = v / 1e6 / bin_s;
-  return out;
-}
-
-std::vector<double> Tracer::switch_intervals_s(int client) const {
-  std::vector<double> out;
-  double last = -1.0;
-  events_.for_each([&](const Event& e) {
-    if (e.kind != EventKind::kSwitchCompleted || e.client != client) return;
-    const double t = e.when.to_seconds();
-    if (last >= 0.0) out.push_back(t - last);
-    last = t;
-  });
-  return out;
-}
-
-std::vector<std::pair<double, int>> Tracer::serving_timeline(int client) const {
-  std::vector<std::pair<double, int>> out;
-  events_.for_each([&](const Event& e) {
-    if (e.kind == EventKind::kSwitchCompleted && e.client == client) {
-      out.emplace_back(e.when.to_seconds(), e.node);
-    }
-  });
-  return out;
-}
-
-std::vector<double> Tracer::ap_tx_share(int num_aps) const {
-  std::vector<double> counts(static_cast<std::size_t>(num_aps), 0.0);
-  double total = 0.0;
-  events_.for_each([&](const Event& e) {
-    if (e.kind != EventKind::kFrameTx) return;
-    if (e.node >= 0 && e.node < num_aps) {
-      counts[static_cast<std::size_t>(e.node)] += 1.0;
-      total += 1.0;
-    }
-  });
-  if (total > 0.0) {
-    for (double& c : counts) c /= total;
-  }
-  return counts;
-}
-
 std::vector<double> Tracer::values(EventKind kind, int client) const {
   std::vector<double> out;
   events_.for_each([&](const Event& e) {
@@ -120,33 +66,45 @@ void attach(Tracer& tracer, scenario::WgttSystem& system) {
     };
   }
 
-  // Switch initiations: the opening edge of the stop→start→ack span.
-  auto& ctrl = system.controller();
-  ctrl.on_switch_initiated =
-      [&tracer, prev = std::move(ctrl.on_switch_initiated)](
-          net::ClientId c, std::optional<net::ApId> from, net::ApId to,
-          Time t) {
-        if (prev) prev(c, from, to, t);
-        tracer.record({t, EventKind::kSwitchInitiated,
-                       static_cast<int>(net::index_of(c)),
-                       from ? static_cast<int>(net::index_of(*from)) : -1,
-                       static_cast<int>(net::index_of(to)), 0.0});
-      };
+  for (int d = 0; d < system.num_domains(); ++d) {
+    auto& ctrl = system.controller(d);
+    // Switch initiations: the opening edge of the stop→start→ack span.
+    ctrl.on_switch_initiated =
+        [&tracer, prev = std::move(ctrl.on_switch_initiated)](
+            net::ClientId c, std::optional<net::ApId> from, net::ApId to,
+            Time t) {
+          if (prev) prev(c, from, to, t);
+          tracer.record({t, EventKind::kSwitchInitiated,
+                         static_cast<int>(net::index_of(c)),
+                         from ? static_cast<int>(net::index_of(*from)) : -1,
+                         static_cast<int>(net::index_of(to)), 0.0});
+        };
 
-  // Switch completions (+ the protocol duration from the switch log).
-  ctrl.on_serving_changed = [&tracer, &ctrl,
-                             prev = std::move(ctrl.on_serving_changed)](
-                                net::ClientId c, net::ApId ap, Time t) {
-    if (prev) prev(c, ap, t);
-    double protocol_ms = 0.0;
-    if (!ctrl.switch_log().empty()) {
-      const auto& rec = ctrl.switch_log().back();
-      protocol_ms = (rec.completed - rec.initiated).to_millis();
-    }
-    tracer.record({t, EventKind::kSwitchCompleted,
-                   static_cast<int>(net::index_of(c)),
-                   static_cast<int>(net::index_of(ap)), -1, protocol_ms});
-  };
+    // Switch completions (+ the protocol duration from this controller's
+    // switch log).
+    ctrl.on_serving_changed = [&tracer, &ctrl,
+                               prev = std::move(ctrl.on_serving_changed)](
+                                  net::ClientId c, net::ApId ap, Time t) {
+      if (prev) prev(c, ap, t);
+      double protocol_ms = 0.0;
+      if (!ctrl.switch_log().empty()) {
+        const auto& rec = ctrl.switch_log().back();
+        protocol_ms = (rec.completed - rec.initiated).to_millis();
+      }
+      tracer.record({t, EventKind::kSwitchCompleted,
+                     static_cast<int>(net::index_of(c)),
+                     static_cast<int>(net::index_of(ap)), -1, protocol_ms});
+    };
+
+    // Downlink packets dropped at the controller because the fan-out set
+    // came up empty — the silent-drop path made visible.
+    ctrl.on_fanout_empty = [&tracer, prev = std::move(ctrl.on_fanout_empty)](
+                               net::ClientId c, Time t) {
+      if (prev) prev(c, t);
+      tracer.record({t, EventKind::kFanoutEmptyDrop,
+                     static_cast<int>(net::index_of(c)), -1, -1, 0.0});
+    };
+  }
 
   // Transmissions per AP.
   for (int i = 0; i < system.num_aps(); ++i) {
@@ -159,15 +117,6 @@ void attach(Tracer& tracer, scenario::WgttSystem& system) {
                      static_cast<double>(mpdus)});
     };
   }
-
-  // Downlink packets dropped at the controller because every candidate AP
-  // was evicted by liveness — the silent-drop path made visible.
-  ctrl.on_fanout_empty = [&tracer, prev = std::move(ctrl.on_fanout_empty)](
-                             net::ClientId c, Time t) {
-    if (prev) prev(c, t);
-    tracer.record({t, EventKind::kFanoutEmptyDrop,
-                   static_cast<int>(net::index_of(c)), -1, -1, 0.0});
-  };
 
   // Uplink packets surviving de-duplication.
   system.on_server_uplink = [&tracer, &system,

@@ -3,10 +3,10 @@
 // The paper's methodology logs every packet at the controller and the
 // client with tcpdump and post-processes the traces into its figures. The
 // Tracer plays the same role here: it subscribes (non-invasively, through
-// the existing observation hooks) to a running WgttSystem, records a typed
-// event stream, and offers the post-processing queries the evaluation
-// needs — throughput series, switch timing, per-AP airtime shares, and CSV
-// export for external plotting.
+// the existing observation hooks) to a running WgttSystem — every domain's
+// controller included — records a typed event stream, and offers per-kind
+// counts and values plus CSV export for external plotting and the
+// post-mortem bundle.
 //
 // Storage is a bounded obs::FlightRecorder ring (drop-oldest): a trace of a
 // long run keeps the most recent `capacity` events and counts what it shed
@@ -79,20 +79,6 @@ class Tracer {
 
   /// Number of events of one kind (optionally for one client).
   [[nodiscard]] std::size_t count(EventKind kind, int client = -1) const;
-
-  /// Delivered downlink throughput (Mbit/s) in fixed bins for a client.
-  [[nodiscard]] std::vector<double> throughput_mbps(int client, Time bin,
-                                                    Time horizon) const;
-
-  /// Times between consecutive completed switches of a client (seconds).
-  [[nodiscard]] std::vector<double> switch_intervals_s(int client) const;
-
-  /// Serving-AP timeline for a client: (time s, AP index).
-  [[nodiscard]] std::vector<std::pair<double, int>> serving_timeline(
-      int client) const;
-
-  /// Fraction of transmissions contributed by each AP (index -> share).
-  [[nodiscard]] std::vector<double> ap_tx_share(int num_aps) const;
 
   /// `value` field of every event of `kind` (optionally for one client);
   /// e.g. the per-switch protocol milliseconds of kSwitchCompleted.

@@ -30,7 +30,8 @@ net::Packet data_packet(ClientId c, Time created) {
 }
 
 TEST(CyclicQueueTest, PutTakeBasics) {
-  CyclicQueue q;
+  net::PacketPool pool;
+  CyclicQueue q(&pool);
   EXPECT_EQ(q.occupancy(), 0u);
   EXPECT_FALSE(q.has(5));
   net::Packet p = net::make_packet();
@@ -48,14 +49,16 @@ TEST(CyclicQueueTest, PutTakeBasics) {
 }
 
 TEST(CyclicQueueTest, IndexMasking) {
-  CyclicQueue q;
+  net::PacketPool pool;
+  CyclicQueue q(&pool);
   net::Packet p = net::make_packet();
   q.put(4096 + 7, p);  // masked to 7
   EXPECT_TRUE(q.has(7));
 }
 
 TEST(CyclicQueueTest, OverwriteSameSlot) {
-  CyclicQueue q;
+  net::PacketPool pool;
+  CyclicQueue q(&pool);
   net::Packet a = net::make_packet();
   a.payload_bytes = 1;
   net::Packet b = net::make_packet();
@@ -67,7 +70,8 @@ TEST(CyclicQueueTest, OverwriteSameSlot) {
 }
 
 TEST(CyclicQueueTest, NewestTracksLastPut) {
-  CyclicQueue q;
+  net::PacketPool pool;
+  CyclicQueue q(&pool);
   EXPECT_FALSE(q.newest().has_value());
   q.put(10, net::make_packet());
   q.put(12, net::make_packet());
@@ -78,7 +82,8 @@ TEST(CyclicQueueTest, NewestTracksLastPut) {
 }
 
 TEST(CyclicQueueTest, FullLapKeepsAllSlots) {
-  CyclicQueue q;
+  net::PacketPool pool;
+  CyclicQueue q(&pool);
   for (std::uint16_t i = 0; i < CyclicQueue::kIndexSpace; ++i) {
     q.put(i, net::make_packet());
   }
@@ -86,7 +91,8 @@ TEST(CyclicQueueTest, FullLapKeepsAllSlots) {
 }
 
 TEST(CyclicQueueTest, DropDiscardsWithoutMaterializing) {
-  CyclicQueue q;
+  net::PacketPool pool;
+  CyclicQueue q(&pool);
   q.put(3, net::make_packet());
   EXPECT_TRUE(q.drop(3));
   EXPECT_FALSE(q.has(3));
@@ -187,7 +193,7 @@ class WgttApTest : public ::testing::Test {
   std::unique_ptr<WgttAp> make_ap(int idx) {
     auto ap = std::make_unique<WgttAp>(
         ApId{static_cast<std::uint32_t>(idx)}, sched_, medium_, backhaul_,
-        Rng{static_cast<std::uint64_t>(idx) + 5}, WgttAp::Config{},
+        pool_, Rng{static_cast<std::uint64_t>(idx) + 5}, WgttAp::Config{},
         [idx] { return channel::Vec2{idx * 7.5, 15.0}; });
     ap->mac().set_channel_sampler(
         [this](mac::RadioId) { return flat_csi(40.0, sched_.now()); });
@@ -214,9 +220,14 @@ class WgttApTest : public ::testing::Test {
     return id;
   }
 
+  /// Sends what the controller's fan-out sends: one pooled reference.
   void send_downlink(WgttAp& ap, std::uint16_t index) {
-    backhaul_.send(NodeId::controller(), NodeId::ap(ap.id()),
-                   net::DownlinkData{data_packet(kClient, sched_.now()), index});
+    net::Packet p = data_packet(kClient, sched_.now());
+    net::DownlinkData d;
+    d.index = index;
+    d.tunnel_bytes = static_cast<std::uint32_t>(p.tunnel_bytes());
+    d.handle = pool_.acquire(std::move(p));
+    backhaul_.send(NodeId::controller(), NodeId::ap(ap.id()), std::move(d));
   }
 
   int count_controller(auto pred) const {
@@ -230,6 +241,7 @@ class WgttApTest : public ::testing::Test {
   sim::Scheduler sched_;
   mac::Medium medium_;
   net::Backhaul backhaul_;
+  net::PacketPool pool_;  // outlives the APs' queues
   std::unique_ptr<WgttAp> ap0_;
   std::unique_ptr<WgttAp> ap1_;
   std::unique_ptr<mac::WifiMac> client_mac_;

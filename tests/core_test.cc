@@ -91,7 +91,7 @@ class ControllerTest : public ::testing::Test {
   // Returned by reference: the Controller registers `this` with the
   // backhaul, so it must stay at a fixed address.
   Controller& make(Controller::Config cfg = {}) {
-    controller_ = std::make_unique<Controller>(sched_, backhaul_, cfg);
+    controller_ = std::make_unique<Controller>(sched_, backhaul_, pool_, cfg);
     for (std::uint32_t i = 0; i < 3; ++i) controller_->add_ap(ApId{i});
     controller_->add_client(kClient);
     return *controller_;
@@ -164,6 +164,7 @@ class ControllerTest : public ::testing::Test {
 
   sim::Scheduler sched_;
   net::Backhaul backhaul_;
+  net::PacketPool pool_;
   std::unique_ptr<Controller> controller_;
   std::map<std::uint32_t, std::vector<std::pair<NodeId, BackhaulMessage>>> ap_log_;
 };
@@ -758,64 +759,6 @@ TEST(SpatialIndexTest, SegmentsClampAndCoverEveryAp) {
   EXPECT_LE(idx.segment_of_ap(1), idx.segment_of_ap(2));
   EXPECT_TRUE(SpatialIndex{}.empty());
   EXPECT_EQ(SpatialIndex{}.nearest(0.0), -1);
-}
-
-// --- EsnrTracker with a wired SpatialIndex ----------------------------------
-
-TEST(EsnrTrackerTest, SpatialBoundsScansToAnchorNeighborhood) {
-  SpatialIndex idx;
-  idx.build({0.0, 50.0, 1000.0}, 30.0);
-  EsnrTracker t(Time::ms(10));
-  t.set_spatial(&idx, 100.0);
-  t.add(kClient, ApId{2}, Time::ms(1), 40.0);
-  EXPECT_EQ(t.anchor_ap(kClient), 2);
-  EXPECT_EQ(t.best_ap(kClient, Time::ms(2)).value(), ApId{2});
-  // The anchor moves to AP0 (1000 m away): the far AP's 40 dB median is
-  // still in-window, but out of reach of the new anchor, so it can no
-  // longer win the argmax or appear in the fan-out set.
-  t.add(kClient, ApId{0}, Time::ms(2), 20.0);
-  EXPECT_EQ(t.anchor_ap(kClient), 0);
-  EXPECT_EQ(t.best_ap(kClient, Time::ms(3)).value(), ApId{0});
-  const auto fresh = t.fresh_aps(kClient, Time::ms(3), Time::ms(50));
-  ASSERT_EQ(fresh.size(), 1u);
-  EXPECT_EQ(fresh[0], ApId{0});
-  // Point queries on a named link stay unfiltered.
-  EXPECT_DOUBLE_EQ(t.median(kClient, ApId{2}, Time::ms(3)).value(), 40.0);
-  EXPECT_EQ(t.last_heard(kClient, ApId{2}).value(), Time::ms(1));
-}
-
-TEST(EsnrTrackerTest, SpatialBoundedMatchesUnboundedWithinRadius) {
-  // 8 APs spaced 7.5 m apart: the whole array fits inside the radius the
-  // scenario derives (2 * sense_range + slack), so a bounded tracker must
-  // answer every query exactly like an unbounded one — the equivalence the
-  // default-on spatial index rests on.
-  std::vector<double> xs;
-  for (int i = 0; i < 8; ++i) xs.push_back(7.5 * i);
-  SpatialIndex idx;
-  idx.build(xs, 30.0);
-  EsnrTracker bounded(Time::ms(10));
-  bounded.set_spatial(&idx, 290.0);
-  EsnrTracker plain(Time::ms(10));
-  std::uint64_t state = 99;
-  auto next = [&state] {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 33;
-  };
-  Time now = Time::zero();
-  for (int i = 0; i < 500; ++i) {
-    now += Time::us(static_cast<std::int64_t>(next() % 500));
-    const ApId ap{static_cast<std::uint32_t>(next() % 8)};
-    const double v = static_cast<double>(next() % 400) / 10.0;
-    bounded.add(kClient, ap, now, v);
-    plain.add(kClient, ap, now, v);
-    ASSERT_EQ(bounded.best_ap(kClient, now), plain.best_ap(kClient, now))
-        << "step " << i;
-    ASSERT_EQ(bounded.fresh_aps(kClient, now, Time::ms(200)),
-              plain.fresh_aps(kClient, now, Time::ms(200)))
-        << "step " << i;
-    ASSERT_EQ(bounded.median(kClient, ap, now), plain.median(kClient, ap, now))
-        << "step " << i;
-  }
 }
 
 // --- Uplink de-dup capacity boundary (the PR 7 off-by-one fix) --------------

@@ -124,16 +124,6 @@ TEST_F(MediumTest, HiddenTerminalCollision) {
   EXPECT_TRUE(c_log[0].ctx.collided);
 }
 
-TEST_F(MediumTest, RemovedRadioStopsReceiving) {
-  std::vector<Rx> b_log;
-  const RadioId a = add({0, 0}, nullptr);
-  const RadioId b = add({10, 0}, &b_log);
-  medium_.remove_radio(b);
-  medium_.transmit(a, beacon(), Time::us(100));
-  sched_.run_all();
-  EXPECT_TRUE(b_log.empty());
-}
-
 TEST_F(MediumTest, FrameMetadataFilledIn) {
   std::vector<Rx> b_log;
   const RadioId a = add({0, 0}, nullptr);

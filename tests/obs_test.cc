@@ -376,11 +376,10 @@ TEST(SpanTrackerTest, BeginEndCancel) {
   EXPECT_FALSE(spans.end(99, Time::ms(30)).has_value());
   EXPECT_EQ(sink.count(), 1u);
 
-  // Cancel drops the open span without observing.
-  spans.cancel(8);
+  // Ending the other open span observes it.
+  EXPECT_DOUBLE_EQ(spans.end(8, Time::ms(40)).value(), 28.0);
   EXPECT_EQ(spans.open_spans(), 0u);
-  EXPECT_FALSE(spans.end(8, Time::ms(40)).has_value());
-  EXPECT_EQ(sink.count(), 1u);
+  EXPECT_EQ(sink.count(), 2u);
 
   // begin() restarts an already-open span.
   spans.begin(5, Time::ms(0));

@@ -115,22 +115,12 @@ TEST(SchedulerWindowTest, RunBeforeIsExclusiveAndKeepsClockUsable) {
   sched.schedule_at(Time::ms(2), [&order] { order.push_back(2); });
   sched.run_before(Time::ms(2));
   EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_EQ(sched.next_event_time(), Time::ms(2));
   // The clock stopped at the last executed event, so a later window may
   // still inject work anywhere past it — including before the 2 ms event.
   sched.schedule_at(Time::ms(1) + Time::micros(500),
                     [&order] { order.push_back(3); });
   sched.run_until(Time::ms(5));
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
-}
-
-TEST(SchedulerWindowTest, NextEventTimeOnEmptyHeap) {
-  sim::Scheduler sched;
-  EXPECT_EQ(sched.next_event_time(), Time::max());
-  sched.schedule_at(Time::ms(3), [] {});
-  EXPECT_EQ(sched.next_event_time(), Time::ms(3));
-  sched.run_until(Time::ms(4));
-  EXPECT_EQ(sched.next_event_time(), Time::max());
 }
 
 // --- profiler merge --------------------------------------------------------

@@ -590,7 +590,8 @@ class CyclicQueueFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CyclicQueueFuzz, MatchesReferenceMap) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
-  ap::CyclicQueue q;
+  net::PacketPool pool;
+  ap::CyclicQueue q(&pool);
   std::map<std::uint16_t, std::uint64_t> reference;  // index -> packet uid
   for (int step = 0; step < 5000; ++step) {
     const auto index = static_cast<std::uint16_t>(rng.uniform_int(4096));

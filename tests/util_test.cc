@@ -8,7 +8,6 @@
 #include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/timed_window.h"
 #include "util/units.h"
 
 namespace wgtt {
@@ -248,39 +247,6 @@ TEST(RingBufferTest, Errors) {
   EXPECT_THROW(rb.front(), std::logic_error);
   EXPECT_THROW((void)rb.at(0), std::out_of_range);
   EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
-}
-
-TEST(TimedWindowTest, EvictsOldSamples) {
-  TimedWindow<double> w(Time::ms(10));
-  w.add(Time::ms(0), 1.0);
-  w.add(Time::ms(5), 2.0);
-  w.add(Time::ms(12), 3.0);
-  // At t=12, the t=0 sample is older than 10 ms -> evicted; t=5 survives
-  // (12 - 5 = 7 < 10).
-  auto vals = w.values(Time::ms(12));
-  EXPECT_EQ(vals.size(), 2u);
-  EXPECT_DOUBLE_EQ(vals[0], 2.0);
-  // At t=16, t=5 is evicted too.
-  vals = w.values(Time::ms(16));
-  ASSERT_EQ(vals.size(), 1u);
-  EXPECT_DOUBLE_EQ(vals[0], 3.0);
-}
-
-TEST(TimedWindowTest, BoundaryIsInclusiveEviction) {
-  TimedWindow<int> w(Time::ms(10));
-  w.add(Time::ms(0), 1);
-  // Sample at exactly now - window is evicted (<= cutoff).
-  EXPECT_TRUE(w.values(Time::ms(10)).empty());
-}
-
-TEST(TimedWindowTest, NewestAndClear) {
-  TimedWindow<int> w(Time::ms(50));
-  EXPECT_TRUE(w.empty());
-  w.add(Time::ms(1), 1);
-  w.add(Time::ms(2), 2);
-  EXPECT_EQ(w.newest(), Time::ms(2));
-  w.clear();
-  EXPECT_TRUE(w.empty());
 }
 
 // Property sweep: lower_median of a window of identical values is that
