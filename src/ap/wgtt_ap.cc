@@ -416,8 +416,7 @@ bool WgttAp::ba_seen(ClientState& cs, std::uint64_t uid) {
   for (std::size_t i = 0; i < cs.seen_ba_uids.size(); ++i) {
     if (cs.seen_ba_uids.at(i) == uid) return true;
   }
-  if (cs.seen_ba_uids.full()) cs.seen_ba_uids.pop_front();
-  cs.seen_ba_uids.push_back(uid);
+  cs.seen_ba_uids.push(uid);  // drop-oldest once 64 are remembered
   return false;
 }
 

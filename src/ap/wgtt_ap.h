@@ -33,10 +33,10 @@
 #include "net/ids.h"
 #include "net/messages.h"
 #include "net/packet_pool.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span_timer.h"
 #include "sim/scheduler.h"
-#include "util/ring_buffer.h"
 #include "util/rng.h"
 
 namespace wgtt::ap {
@@ -208,7 +208,7 @@ class WgttAp {
     bool serving = false;
     std::uint16_t next_index = 0;  // next index to push toward the NIC
     ControlRecord ctl;
-    RingBuffer<std::uint64_t> seen_ba_uids{64};
+    obs::FlightRecorder<std::uint64_t> seen_ba_uids{64};
   };
 
   void handle_backhaul(net::NodeId from, net::BackhaulMessage msg);

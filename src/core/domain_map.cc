@@ -71,13 +71,6 @@ void DomainMap::build(const SpatialIndex& index, std::uint32_t num_domains) {
   }
 }
 
-std::vector<std::uint32_t> DomainMap::neighbors(std::uint32_t d) const {
-  std::vector<std::uint32_t> out;
-  if (d > 0) out.push_back(d - 1);
-  if (d + 1 < num_domains()) out.push_back(d + 1);
-  return out;
-}
-
 std::uint32_t DomainMap::nearest_alive(std::uint32_t dead,
                                        const std::vector<bool>& alive) const {
   const std::uint32_t n = num_domains();

@@ -52,9 +52,6 @@ class DomainMap {
     return first_ap_[d + 1];
   }
 
-  /// Line-topology neighbors of domain d ({d-1, d+1}, clipped to the ends).
-  [[nodiscard]] std::vector<std::uint32_t> neighbors(std::uint32_t d) const;
-
   /// The alive domain nearest (in domain index distance) to `dead`, or
   /// num_domains() when every other domain is down. Ties break toward the
   /// lower index so every alive controller computes the same adopter.

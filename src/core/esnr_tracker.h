@@ -8,9 +8,9 @@
 // optimal at all vehicle speeds, which bench_fig21_window_size reproduces.
 //
 // The window median itself is maintained incrementally by a
-// core::StreamingMedian per link (amortized O(log W) per CSI sample and
-// allocation-free in steady state) instead of re-sorting the window on
-// every report; the two are bit-identical, which core_test asserts.
+// core::StreamingMedian per link (a sorted window: a binary search and a
+// short shift per CSI sample) instead of re-sorting the window on every
+// report; the two are bit-identical, which core_test asserts.
 //
 // Links are stored contiguously per client in first-heard order, which
 // fixes the argmax tie-break and the fan-out order. The per-client scans

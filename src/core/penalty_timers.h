@@ -2,8 +2,9 @@
 // domain boundary (osmo-bsc's penalty_timers.h is the production exemplar:
 // after a handover to a target, further attempts toward that target are
 // barred until the timer runs out). Expiry is lazy — entries are checked
-// against `now` on lookup and swept opportunistically — so arming and
-// querying never touch the scheduler.
+// against `now` on lookup and never erased — so arming and querying never
+// touch the scheduler. The map holds at most one entry per (client, domain)
+// pair that ever handed over.
 #pragma once
 
 #include <cstdint>
@@ -28,24 +29,6 @@ class PenaltyTimers {
     const auto it = until_.find(key(client, domain));
     return it != until_.end() && now < it->second;
   }
-
-  /// Remaining bar, zero when none. (Tick-exact: at `until` itself the bar
-  /// has expired.)
-  [[nodiscard]] Time remaining(net::ClientId client, std::uint32_t domain,
-                                    Time now) const {
-    const auto it = until_.find(key(client, domain));
-    if (it == until_.end() || now >= it->second) return Time::zero();
-    return it->second - now;
-  }
-
-  /// Drop every expired entry; call occasionally to bound the map.
-  void sweep(Time now) {
-    for (auto it = until_.begin(); it != until_.end();) {
-      it = now >= it->second ? until_.erase(it) : std::next(it);
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const { return until_.size(); }
 
  private:
   [[nodiscard]] static std::uint64_t key(net::ClientId client,

@@ -39,7 +39,6 @@ class SpatialIndex {
   [[nodiscard]] bool empty() const { return ap_x_.empty(); }
   [[nodiscard]] int num_aps() const { return static_cast<int>(ap_x_.size()); }
   [[nodiscard]] int num_segments() const { return num_segments_; }
-  [[nodiscard]] double cell_m() const { return cell_m_; }
   [[nodiscard]] double ap_x(int ap) const {
     return ap_x_[static_cast<std::size_t>(ap)];
   }

@@ -1,145 +1,35 @@
 #include "core/streaming_median.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace wgtt::core {
-
-// Correctness of the side attribution in mark_dead:
-//
-// Every entry ever placed in high_ was, at placement time, strictly greater
-// than low_'s max; every entry placed in low_ was <= it; and rebalance only
-// moves heap tops across, which preserves "every entry of low_ <= every
-// entry of high_" over the full physical contents (dead included). So when
-// a live value v expires:
-//   v <  low_.top()  =>  every physical copy of v is in low_
-//   v >  low_.top()  =>  every physical copy of v is in high_
-//   v == low_.top()  =>  a physical copy sits at low_'s top (pop it now)
-// which means a tombstone recorded on a side always has a physical copy on
-// that side to consume, and prune never starves a heap below its live count.
-
-std::uint64_t StreamingMedian::key_of(double v) {
-  return std::bit_cast<std::uint64_t>(v);
-}
 
 void StreamingMedian::add(Time now, double value) {
   evict(now);
   order_.push_back({now, value});
-  if (low_.empty() || value <= low_.top()) {
-    low_.push(value);
-    ++low_size_;
-  } else {
-    high_.push(value);
-    ++high_size_;
-  }
-  rebalance();
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value),
+                 value);
+}
+
+std::optional<double> StreamingMedian::lower_median(Time now) {
+  evict(now);
+  if (sorted_.empty()) return std::nullopt;
+  return sorted_[(sorted_.size() - 1) / 2];
 }
 
 void StreamingMedian::evict(Time now) {
   const Time cutoff = now - window_;
   while (!order_.empty() && order_.front().when <= cutoff) {
-    const double v = order_.front().value;
+    // Any copy of an equal value may go: equal doubles are interchangeable.
+    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(),
+                                   order_.front().value));
     order_.pop_front();
-    mark_dead(v);
   }
-  // Amortized cleanup: once tombstones outnumber live samples, rebuild.
-  if (dead_low_total_ + dead_high_total_ > size()) compact();
-}
-
-std::optional<double> StreamingMedian::lower_median(Time now) {
-  evict(now);
-  if (empty()) return std::nullopt;
-  prune_low();
-  return low_.top();
-}
-
-void StreamingMedian::mark_dead(double v) {
-  prune_low();
-  if (!low_.empty() && v <= low_.top()) {
-    --low_size_;
-    if (v == low_.top()) {
-      low_.pop();
-    } else {
-      ++dead_low_[key_of(v)];
-      ++dead_low_total_;
-    }
-  } else {
-    --high_size_;
-    prune_high();
-    if (!high_.empty() && v == high_.top()) {
-      high_.pop();
-    } else {
-      ++dead_high_[key_of(v)];
-      ++dead_high_total_;
-    }
-  }
-  rebalance();
-}
-
-void StreamingMedian::rebalance() {
-  // Target: low_size_ == ceil(n/2), so the lower median is low_'s top.
-  if (low_size_ > high_size_ + 1) {
-    prune_low();
-    high_.push(low_.top());
-    low_.pop();
-    --low_size_;
-    ++high_size_;
-  } else if (high_size_ > low_size_) {
-    prune_high();
-    low_.push(high_.top());
-    high_.pop();
-    --high_size_;
-    ++low_size_;
-  }
-}
-
-void StreamingMedian::prune_low() {
-  while (!low_.empty()) {
-    auto it = dead_low_.find(key_of(low_.top()));
-    if (it == dead_low_.end() || it->second == 0) return;
-    if (--it->second == 0) dead_low_.erase(it);
-    --dead_low_total_;
-    low_.pop();
-  }
-}
-
-void StreamingMedian::prune_high() {
-  while (!high_.empty()) {
-    auto it = dead_high_.find(key_of(high_.top()));
-    if (it == dead_high_.end() || it->second == 0) return;
-    if (--it->second == 0) dead_high_.erase(it);
-    --dead_high_total_;
-    high_.pop();
-  }
-}
-
-void StreamingMedian::compact() {
-  std::vector<double> values;
-  values.reserve(order_.size());
-  for (const auto& s : order_) values.push_back(s.value);
-  const std::size_t n = values.size();
-  const std::size_t k = (n + 1) / 2;  // ceil(n/2) smallest go to low_
-  if (k < n) {
-    std::nth_element(values.begin(),
-                     values.begin() + static_cast<std::ptrdiff_t>(k),
-                     values.end());
-  }
-  low_ = std::priority_queue<double>(values.begin(),
-                                     values.begin() +
-                                         static_cast<std::ptrdiff_t>(k));
-  high_ = std::priority_queue<double, std::vector<double>, std::greater<>>(
-      values.begin() + static_cast<std::ptrdiff_t>(k), values.end());
-  low_size_ = k;
-  high_size_ = n - k;
-  dead_low_.clear();
-  dead_high_.clear();
-  dead_low_total_ = 0;
-  dead_high_total_ = 0;
 }
 
 void StreamingMedian::clear() {
   order_.clear();
-  compact();  // n = 0: resets heaps, sizes and tombstones
+  sorted_.clear();
 }
 
 }  // namespace wgtt::core

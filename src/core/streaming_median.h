@@ -1,34 +1,23 @@
 // Streaming lower-median over a time-based sliding window.
 //
 // The paper's AP selection (§3.1.1) ranks APs by e_{floor(L/2)} — the lower
-// median — of each link's ESNR readings from the last W milliseconds. The
-// seed implementation recomputed that from scratch on every CSI report:
-// copy the window into a vector, sort (or nth_element), index. That is
-// O(W log W) work and two heap allocations per sample, multiplied by every
-// AP of every client on every uplink frame — the hottest line of the
-// controller by a wide margin.
-//
-// StreamingMedian maintains the same quantity incrementally with the
-// classic dual-heap decomposition: a max-heap `low_` holding the smaller
-// ceil(n/2) live values (its top IS the lower median) and a min-heap
-// `high_` holding the larger floor(n/2). Expiring samples leave the window
-// in arrival order (a deque remembers it), and are removed from the heaps
-// *lazily*: a tombstone count is kept per exact value, dead entries are
-// skipped when they surface at a heap top, and a heap is compacted when
-// tombstones outnumber live entries. Every operation is amortized O(log W)
-// and allocation-free in steady state; results are bit-identical to the
-// sort-based computation because equal doubles are interchangeable.
+// median — of each link's ESNR readings from the last W milliseconds: sort
+// the window, take the middle reading. StreamingMedian keeps the window
+// sorted as it slides instead of re-sorting it on every CSI report. An
+// arrival-order deque drives eviction; an ascending vector holds the same
+// values, so the median is one index. Insertion and eviction are a binary
+// search plus a shift of the live samples, and the live count is small: at
+// W = 10 ms a link never held more than 17 samples in the measured drives,
+// and at W = 1 s (the Figure 21 sweep's widest window) at most 578
+// (DESIGN.md §8). Results are bit-identical to the sort-based computation
+// because equal doubles are interchangeable.
 //
 // Single-threaded, like everything on one Scheduler. Used by
 // core::EsnrTracker; tested against util/stats lower_median in core_test.
 #pragma once
 
-#include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/units.h"
@@ -47,12 +36,9 @@ class StreamingMedian {
   /// the samples still in-window at `now`; nullopt if none remain.
   [[nodiscard]] std::optional<double> lower_median(Time now);
 
-  /// Expires samples older than the window at `now`.
-  void evict(Time now);
-
-  /// Live (in-window as of the last add/evict/lower_median) sample count.
-  [[nodiscard]] std::size_t size() const { return low_size_ + high_size_; }
-  [[nodiscard]] bool empty() const { return size() == 0; }
+  /// Live (in-window as of the last add/lower_median) sample count.
+  [[nodiscard]] std::size_t size() const { return sorted_.size(); }
+  [[nodiscard]] bool empty() const { return sorted_.empty(); }
   [[nodiscard]] Time window() const { return window_; }
 
   void clear();
@@ -62,37 +48,13 @@ class StreamingMedian {
     Time when;
     double value;
   };
-  using Tombstones = std::unordered_map<std::uint64_t, std::uint32_t>;
 
-  void mark_dead(double v);
-  void rebalance();
-  void prune_low();
-  void prune_high();
-  /// Rebuilds both heaps tombstone-free from the live samples in order_.
-  void compact();
-  [[nodiscard]] static std::uint64_t key_of(double v);
+  /// Expires samples older than the window at `now`.
+  void evict(Time now);
 
   Time window_;
-  std::deque<Sample> order_;  // arrival order, drives eviction
-
-  // low_: max-heap of the smaller half (after pruning, its top is the lower
-  // median). high_: min-heap of the larger half. Both may carry expired
-  // entries awaiting lazy removal; *_size_ count live ones only. The
-  // cross-heap invariant max(low_) <= min(high_) holds over ALL entries,
-  // dead included — that is what makes the side attribution in mark_dead
-  // exact (see the .cc).
-  std::priority_queue<double> low_;
-  std::priority_queue<double, std::vector<double>, std::greater<>> high_;
-  std::size_t low_size_ = 0;
-  std::size_t high_size_ = 0;
-
-  // Per-side tombstones by exact bit pattern (the evicted double is
-  // bit-identical to the inserted one, so exact-match keys are sound; equal
-  // values are interchangeable, so which equal copy dies is immaterial).
-  Tombstones dead_low_;
-  Tombstones dead_high_;
-  std::size_t dead_low_total_ = 0;
-  std::size_t dead_high_total_ = 0;
+  std::deque<Sample> order_;    // arrival order, drives eviction
+  std::vector<double> sorted_;  // the same live values, ascending
 };
 
 }  // namespace wgtt::core

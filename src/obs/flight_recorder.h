@@ -1,10 +1,10 @@
 // Bounded flight-recorder event sink: a drop-oldest ring buffer.
 //
-// Unlike util::RingBuffer (which refuses a push when full, because
-// queue-full is a meaningful event for the AP data path), a flight recorder
-// must always accept the *newest* event — when diagnosing a failure, the
-// last seconds matter and the distant past does not. Overwritten events are
-// counted so the overflow is visible (exposed as a metric by the owners).
+// A flight recorder always accepts the *newest* event — when diagnosing a
+// failure, the last seconds matter and the distant past does not.
+// Overwritten events are counted so the overflow is visible (exposed as a
+// metric by the owners). The AP's remembered block-ack identities reuse it
+// for the same reason: only the most recent ones can still be duplicated.
 //
 // Memory is allocated once at construction and never grows: recording
 // 10x the capacity leaves exactly `capacity` events resident.

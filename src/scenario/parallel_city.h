@@ -54,7 +54,7 @@ struct ParallelCityConfig {
   Time wire_latency = Time::ms(1);
   /// false: downlink UDP CBR per client (hub -> corridors). true: uplink
   /// CBR (corridor clients -> hub sinks) — the direction that exercises
-  /// the corridor -> hub mailboxes with data traffic.
+  /// the corridor -> hub edges with data traffic.
   bool uplink = false;
   /// Controller domains per corridor (DESIGN.md §12). 1 (the default)
   /// keeps the legacy single controller per corridor; N > 1 splits each

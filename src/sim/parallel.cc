@@ -5,25 +5,13 @@
 #include <barrier>
 #include <cassert>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 namespace wgtt::sim {
-
-namespace {
-
-/// Injection order across one domain's in-edges: arrival time, then source
-/// domain, then per-edge sequence. Total because (src, seq) is unique per
-/// entry — so the sort is deterministic even though std::sort is unstable.
-bool injection_order(const CrossEvent& a, const CrossEvent& b) {
-  if (a.when != b.when) return a.when < b.when;
-  if (a.src != b.src) return a.src < b.src;
-  return a.seq < b.seq;
-}
-
-}  // namespace
 
 ParallelEngine::ParallelEngine(const Config& config) : config_(config) {
   if (config_.lookahead <= Time::zero()) {
@@ -48,8 +36,6 @@ int ParallelEngine::connect(int src_domain, int dst_domain) {
   assert(src_domain != dst_domain && "a domain talks to itself for free");
   Edge e;
   e.src = src_domain;
-  e.dst = dst_domain;
-  e.box = std::make_unique<SpscMailbox>();
   edges_.push_back(std::move(e));
   const int id = static_cast<int>(edges_.size()) - 1;
   domains_[static_cast<std::size_t>(dst_domain)].in_edges.push_back(id);
@@ -74,28 +60,34 @@ void ParallelEngine::post(int edge, Time when, InlineCallback fn,
   ev.src = e.src;
   ev.cat = cat;
   ev.fn = std::move(fn);
-  ++e.posted;
-  e.box->push(std::move(ev));
+  e.outbox.push_back(std::move(ev));
 }
 
 void ParallelEngine::drain_and_inject(Domain& dom, Time bound_exclusive) {
-  CrossEvent ev;
   for (const int e : dom.in_edges) {
-    while (edges_[static_cast<std::size_t>(e)].box->pop(ev)) {
-      dom.staged.push_back(std::move(ev));
-    }
+    std::vector<CrossEvent>& inbox = edges_[static_cast<std::size_t>(e)].inbox;
+    std::move(inbox.begin(), inbox.end(), std::back_inserter(dom.staged));
+    inbox.clear();
   }
   if (dom.staged.empty()) return;
   // Entries this window covers move to the front, sorted; the remainder
-  // stays staged for a later window.
+  // stays staged for a later window. The order (arrival time, then source
+  // domain, then per-edge sequence) is total because (src, seq) is unique
+  // per entry — so the sort is deterministic even though std::sort is
+  // unstable.
   auto ready_end =
       std::partition(dom.staged.begin(), dom.staged.end(),
                      [&](const CrossEvent& c) { return c.when < bound_exclusive; });
-  std::sort(dom.staged.begin(), ready_end, injection_order);
+  std::sort(dom.staged.begin(), ready_end,
+            [](const CrossEvent& a, const CrossEvent& b) {
+              if (a.when != b.when) return a.when < b.when;
+              if (a.src != b.src) return a.src < b.src;
+              return a.seq < b.seq;
+            });
   for (auto it = dom.staged.begin(); it != ready_end; ++it) {
     // schedule_at acquires the destination seq numbers in sorted order, so
     // the (when, seq) FIFO contract inside the domain reproduces the
-    // (when, src, seq) mailbox order exactly.
+    // (when, src, seq) order exactly.
     dom.sched->schedule_at(it->when, std::move(it->fn), it->cat);
     ++dom.injected;
   }
@@ -127,31 +119,16 @@ void ParallelEngine::run_until(Time horizon) {
   workers_used_ = workers;
   running_ = true;
 
-  if (workers == 1) {
-    // Inline path: identical virtual-time structure (same windows, same
-    // drain points, same injection order), no threads.
-    try {
-      while (window_start_ < horizon) {
-        const Time window_end = std::min(window_start_ + lookahead, horizon);
-        for (Domain& dom : domains_) process_domain(dom, window_end);
-        window_start_ = window_end;
-        ++rounds_;
-      }
-      for (Domain& dom : domains_) finish_domain(dom, horizon);
-      ++rounds_;
-    } catch (...) {
-      running_ = false;
-      throw;
-    }
-    running_ = false;
-    return;
-  }
-
-  // Lockstep worker pool. One barrier per round: a message posted during
-  // round k is drained at round k+1, and the lookahead bound guarantees it
-  // cannot be due before window k+1 — so the pre-drain pushes are exactly
-  // the ones the barrier has already made visible.
-  std::barrier sync(workers, [this, horizon] () noexcept {
+  // Lockstep worker pool; the calling thread is worker 0. One barrier per
+  // round, and its completion is the only code that runs between rounds:
+  // it hands every edge's posts to the destination and advances the
+  // window. A message posted during round k is due at W_{k+1} or later
+  // (the lookahead bound) and is drained at round k+1's start. A post made
+  // outside run_until waits in its outbox for the first barrier; it is due
+  // one lookahead past the source clock, which is at or past the first
+  // window start, so round 1 still drains it in time.
+  std::barrier sync(workers, [this, horizon]() noexcept {
+    for (Edge& e : edges_) std::swap(e.outbox, e.inbox);
     window_start_ = std::min(window_start_ + config_.lookahead, horizon);
     ++rounds_;
   });

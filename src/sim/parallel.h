@@ -2,16 +2,16 @@
 //
 // The run is partitioned into domains, each owning a Scheduler (its own
 // virtual clock, heap and seq counter). Domains interact only through
-// cross-domain messages carried by per-edge SPSC mailboxes, and every such
-// message is delayed by at least the engine's lookahead L — the modeled
-// minimum cross-domain backhaul/wire latency. That bound makes lockstep
-// windows safe: in round k every domain executes its events with
-// when ∈ [W, W+L) independently; a message posted by an event at time
-// τ ≥ W arrives at τ + (≥ L) ≥ W + L, i.e. never inside the window being
-// executed, so no domain can ever receive a message "from the past".
-// A barrier ends the round, each domain drains its in-edges, injects the
-// messages the next window covers in sorted (when, src domain, seq) order,
-// and the window advances by L.
+// cross-domain messages carried on directed edges, and every such message
+// is delayed by at least the engine's lookahead L — the modeled minimum
+// cross-domain backhaul/wire latency. That bound makes lockstep windows
+// safe: in round k every domain executes its events with when ∈ [W, W+L)
+// independently; a message posted by an event at time τ ≥ W arrives at
+// τ + (≥ L) ≥ W + L, i.e. never inside the window being executed, so no
+// domain can ever receive a message "from the past". A barrier ends the
+// round and hands each edge's posts to its destination; at its next window
+// start each domain injects the messages that window covers in sorted
+// (when, src domain, seq) order, and the window advances by L.
 //
 // Determinism (the §11.5 proof obligations): window boundaries are pure
 // virtual-time arithmetic; a message's (when, src, seq) triple is fixed at
@@ -23,17 +23,17 @@
 // tests/parallel_test.cc holds the engine to that.
 //
 // The engine does not own the domain schedulers (the scenario layer does);
-// it owns the mailboxes, the worker pool, and the round loop.
+// it owns the edges, the worker pool, and the round loop.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
+#include "sim/inline_callback.h"
+#include "sim/profiler.h"
 #include "sim/scheduler.h"
-#include "sim/spsc_mailbox.h"
 #include "util/units.h"
 
 namespace wgtt::sim {
@@ -48,7 +48,8 @@ class ParallelEngine {
     /// Worker threads driving the domains (round-robin by domain id).
     /// This is a wall-clock knob only: the domain graph is fixed by the
     /// scenario, and results are byte-identical for every worker count.
-    /// Clamped to [1, num_domains]; 1 runs inline on the calling thread.
+    /// Clamped to [1, num_domains]; the calling thread is worker 0, so 1
+    /// starts no thread.
     int workers = 1;
   };
 
@@ -64,18 +65,17 @@ class ParallelEngine {
                  std::function<void()> exit = nullptr);
 
   /// Creates the directed edge src -> dst and returns its id. All edges
-  /// must exist before the first run_until (the mailbox topology is part
-  /// of the scenario, not of execution).
+  /// must exist before the first run_until (the edge topology is part of
+  /// the scenario, not of execution).
   int connect(int src_domain, int dst_domain);
 
   /// Posts a cross-domain message: run `fn` in the edge's destination
   /// domain at virtual time `when`. Must be called from code executing in
-  /// the edge's source domain (that worker is the mailbox's single
-  /// producer). `when` must be at least the source clock plus lookahead;
-  /// a violating `when` is clamped up to that bound and counted in
-  /// lookahead_violations() — the clamp depends only on virtual state, so
-  /// even a buggy caller stays deterministic, but the sweep tests assert
-  /// the count is zero.
+  /// the edge's source domain, or between run_until calls. `when` must be
+  /// at least the source clock plus lookahead; a violating `when` is
+  /// clamped up to that bound and counted in lookahead_violations() — the
+  /// clamp depends only on virtual state, so even a buggy caller stays
+  /// deterministic, but the sweep tests assert the count is zero.
   void post(int edge, Time when, InlineCallback fn,
             EventCategory cat = EventCategory::kBackhaul);
 
@@ -106,12 +106,24 @@ class ParallelEngine {
   }
 
  private:
+  /// One cross-domain message: run `fn` in the destination domain at
+  /// virtual time `when`. `src` and `seq` are the injection tie-break.
+  struct CrossEvent {
+    Time when;
+    std::uint64_t seq = 0;
+    int src = 0;
+    EventCategory cat = EventCategory::kBackhaul;
+    InlineCallback fn;
+  };
+  /// Within a round only the source domain's worker touches `next_seq` and
+  /// `outbox`, and only the destination's worker touches `inbox`. The
+  /// barrier's completion swaps the two vectors between rounds, so a post
+  /// made in round k is drained at the start of round k+1.
   struct Edge {
     int src = 0;
-    int dst = 0;
-    std::uint64_t next_seq = 1;  // producer-side; single writer per round
-    std::uint64_t posted = 0;
-    std::unique_ptr<SpscMailbox> box;
+    std::uint64_t next_seq = 1;
+    std::vector<CrossEvent> outbox;
+    std::vector<CrossEvent> inbox;
   };
   struct Domain {
     Scheduler* sched = nullptr;

@@ -108,7 +108,7 @@ void Scheduler::run_before(Time limit) {
     step();
   }
   // The clock deliberately stays at the last executed event: a later window
-  // may inject mailbox events anywhere in [now, its window end), and
+  // may inject cross-domain events anywhere in [now, its window end), and
   // schedule_at must not clamp them forward.
 }
 

@@ -67,9 +67,9 @@ class Scheduler {
   /// `limit` stay pending and the clock is NOT advanced past the last
   /// executed event. This is the parallel engine's window primitive
   /// (DESIGN.md §11): a domain executes [window start, window end) and an
-  /// event at the window edge must wait — the next window's mailbox drain
-  /// may still inject messages at that exact time ahead of it in (when,
-  /// seq) order.
+  /// event at the window edge must wait — the next window's drain may
+  /// still inject messages at that exact time ahead of it in (when, seq)
+  /// order.
   void run_before(Time limit);
 
   /// Runs until no events remain.

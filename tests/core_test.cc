@@ -868,34 +868,37 @@ TEST_F(ControllerTest, BoundedFallbackFansOutToSpatialNeighborhood) {
 
 TEST(StreamingMedianTest, AgreesWithSortedLowerMedianUnderEviction) {
   // Random stream with random inter-arrival gaps, checked sample by sample
-  // against util::lower_median over a reference window. Any divergence in
-  // the lazy-deletion bookkeeping shows up here.
-  const Time window = Time::ms(10);
-  StreamingMedian sm(window);
-  std::deque<std::pair<Time, double>> ref;
+  // against util::lower_median over a reference window. The 10 ms window
+  // holds ~25 live samples; the 1 s window holds ~2,500, above the largest
+  // live count measured in any drive (578, at W = 1 s; DESIGN.md §8).
+  for (const Time window : {Time::ms(10), Time::sec(1)}) {
+    StreamingMedian sm(window);
+    std::deque<std::pair<Time, double>> ref;
 
-  std::uint64_t state = 12345;
-  auto next = [&state] {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 33;
-  };
+    std::uint64_t state = 12345;
+    auto next = [&state] {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return state >> 33;
+    };
 
-  Time now = Time::zero();
-  for (int i = 0; i < 5000; ++i) {
-    now += Time::us(static_cast<std::int64_t>(next() % 800));  // 0-0.8 ms gaps
-    // Coarse values force many exact duplicates (the tombstone-key case).
-    const double v = static_cast<double>(next() % 64) / 4.0;
-    sm.add(now, v);
-    ref.emplace_back(now, v);
-    while (!ref.empty() && ref.front().first <= now - window) ref.pop_front();
+    Time now = Time::zero();
+    for (int i = 0; i < 5000; ++i) {
+      now += Time::us(static_cast<std::int64_t>(next() % 800));  // 0-0.8 ms
+      // Coarse values force many exact duplicates.
+      const double v = static_cast<double>(next() % 64) / 4.0;
+      sm.add(now, v);
+      ref.emplace_back(now, v);
+      while (!ref.empty() && ref.front().first <= now - window) ref.pop_front();
 
-    std::vector<double> xs;
-    for (const auto& [w, x] : ref) xs.push_back(x);
-    ASSERT_EQ(sm.size(), xs.size());
-    ASSERT_TRUE(sm.lower_median(now).has_value());
-    // Bit-identical, not approximately equal: both pick the same order
-    // statistic of the same multiset.
-    ASSERT_EQ(sm.lower_median(now).value(), lower_median(xs)) << "sample " << i;
+      std::vector<double> xs;
+      for (const auto& [w, x] : ref) xs.push_back(x);
+      ASSERT_EQ(sm.size(), xs.size());
+      ASSERT_TRUE(sm.lower_median(now).has_value());
+      // Bit-identical, not approximately equal: both pick the same order
+      // statistic of the same multiset.
+      ASSERT_EQ(sm.lower_median(now).value(), lower_median(xs))
+          << "window " << window.to_millis() << " ms, sample " << i;
+    }
   }
 }
 
@@ -942,10 +945,8 @@ TEST(PenaltyTimerTest, TickExactArmingAndExpiry) {
   const net::ClientId c{7};
   pt.arm(c, 1, Time::ms(500));
   EXPECT_TRUE(pt.barred(c, 1, Time::ms(499)));
-  EXPECT_EQ(pt.remaining(c, 1, Time::ms(100)), Time::ms(400));
   // The bar is half-open: expired exactly at `until`.
   EXPECT_FALSE(pt.barred(c, 1, Time::ms(500)));
-  EXPECT_EQ(pt.remaining(c, 1, Time::ms(500)), Time::zero());
   // Other (client, domain) pairs are independent.
   EXPECT_FALSE(pt.barred(c, 2, Time::ms(0)));
   EXPECT_FALSE(pt.barred(net::ClientId{8}, 1, Time::ms(0)));
@@ -954,11 +955,6 @@ TEST(PenaltyTimerTest, TickExactArmingAndExpiry) {
   pt.arm(c, 1, Time::ms(600));
   EXPECT_TRUE(pt.barred(c, 1, Time::ms(799)));
   EXPECT_FALSE(pt.barred(c, 1, Time::ms(800)));
-  // Lazy sweep drops expired entries only.
-  pt.arm(net::ClientId{9}, 3, Time::ms(10));
-  EXPECT_EQ(pt.size(), 2u);
-  pt.sweep(Time::ms(700));
-  EXPECT_EQ(pt.size(), 1u);
 }
 
 TEST(PenaltyTimerTest, OscillationPassesOncePerWindow) {

@@ -1,14 +1,15 @@
-// Parallel engine tests (DESIGN.md §11): SPSC mailbox FIFO/growth/threading,
-// the scheduler's window primitives, conservative lockstep determinism on
-// synthetic domain graphs, and the headline contract — run_parallel_city is
-// byte-identical (whole wgtt.metrics.v1 snapshots, exact per-client Mbps)
-// across worker counts, 20 seeds deep. `--parallel-workers N` is a wall-clock
-// knob, never a results knob.
+// Parallel engine tests (DESIGN.md §11): the scheduler's window primitives,
+// conservative lockstep determinism on synthetic domain graphs (posts across
+// run_until call boundaries included), and the headline contract —
+// run_parallel_city is byte-identical (whole wgtt.metrics.v1 snapshots, exact
+// per-client Mbps) across worker counts, 20 seeds deep. `--parallel-workers
+// N` is a wall-clock knob, never a results knob.
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,94 +18,10 @@
 #include "sim/parallel.h"
 #include "sim/profiler.h"
 #include "sim/scheduler.h"
-#include "sim/spsc_mailbox.h"
 #include "util/units.h"
 
 namespace wgtt {
 namespace {
-
-// --- SPSC mailbox ----------------------------------------------------------
-
-sim::CrossEvent make_event(std::uint64_t seq) {
-  sim::CrossEvent ev;
-  ev.when = Time::ns(static_cast<double>(seq));
-  ev.seq = seq;
-  return ev;
-}
-
-TEST(SpscMailboxTest, FifoSingleThread) {
-  sim::SpscMailbox box(8);
-  for (std::uint64_t i = 1; i <= 100; ++i) box.push(make_event(i));
-  sim::CrossEvent ev;
-  for (std::uint64_t i = 1; i <= 100; ++i) {
-    ASSERT_TRUE(box.pop(ev));
-    EXPECT_EQ(ev.seq, i);
-  }
-  EXPECT_FALSE(box.pop(ev));
-}
-
-TEST(SpscMailboxTest, GrowthAcrossChunksPreservesOrder) {
-  // Tiny initial chunk: the push stream crosses several growth boundaries,
-  // with pops interleaved so drained chunks get freed mid-stream.
-  sim::SpscMailbox box(2);
-  sim::CrossEvent ev;
-  std::uint64_t next_push = 1;
-  std::uint64_t next_pop = 1;
-  for (int round = 0; round < 40; ++round) {
-    for (int i = 0; i < 7; ++i) box.push(make_event(next_push++));
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(box.pop(ev));
-      EXPECT_EQ(ev.seq, next_pop++);
-    }
-  }
-  while (box.pop(ev)) EXPECT_EQ(ev.seq, next_pop++);
-  EXPECT_EQ(next_pop, next_push);
-}
-
-TEST(SpscMailboxTest, TwoThreadStressKeepsFifo) {
-  sim::SpscMailbox box(4);
-  constexpr std::uint64_t kCount = 50000;
-  std::thread producer([&box] {
-    for (std::uint64_t i = 1; i <= kCount; ++i) box.push(make_event(i));
-  });
-  std::uint64_t expected = 1;
-  std::uint64_t out_of_order = 0;
-  sim::CrossEvent ev;
-  while (expected <= kCount) {
-    if (!box.pop(ev)) continue;
-    if (ev.seq != expected) ++out_of_order;
-    ++expected;
-  }
-  producer.join();
-  EXPECT_EQ(out_of_order, 0u);
-  EXPECT_FALSE(box.pop(ev));
-}
-
-TEST(SpscMailboxTest, RacyGrowthAtEmptyBoundaryLosesNothing) {
-  // Regression for a TOCTOU in pop(): the consumer observed tail == head,
-  // the producer then filled the chunk's remaining capacity and linked a
-  // successor, and the consumer — seeing next != nullptr — retired the
-  // chunk with live entries still inside. Keep the box hovering at empty
-  // with a tiny chunk so nearly every pop takes the retirement path while
-  // pushes race chunk growth; a dropped entry shows up as a seq gap (or,
-  // if the tail of the stream is lost, as a test timeout).
-  sim::SpscMailbox box(2);
-  constexpr std::uint64_t kCount = 20000;
-  std::thread producer([&box] {
-    for (std::uint64_t i = 1; i <= kCount; ++i) {
-      box.push(make_event(i));
-      if (i % 3 == 0) std::this_thread::yield();
-    }
-  });
-  sim::CrossEvent ev;
-  for (std::uint64_t expected = 1; expected <= kCount; ++expected) {
-    while (!box.pop(ev)) {
-    }
-    ASSERT_EQ(ev.seq, expected);
-  }
-  producer.join();
-  EXPECT_FALSE(box.pop(ev));
-}
 
 // --- scheduler window primitives -------------------------------------------
 
@@ -214,6 +131,71 @@ TEST(ParallelEngineTest, PingPongIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(one.rounds, two.rounds);
   EXPECT_EQ(one.messages, two.messages);
   EXPECT_EQ(one.events, two.events);
+}
+
+struct RingRun {
+  std::array<std::vector<std::string>, 3> logs;  // one per domain
+  std::uint64_t rounds = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t violations = 0;
+};
+
+// Three domains in a ring (d -> d+1 mod 3), driven across three run_until
+// calls. Two posts cross a call boundary: one made before the first call,
+// and one made by an event exactly at the first horizon. Each arriving
+// message is logged and forwarded around the ring until 30 ms.
+RingRun run_ring(int workers) {
+  RingRun r;
+  std::array<sim::Scheduler, 3> sched;
+  sim::ParallelEngine eng(sim::ParallelEngine::Config{
+      .lookahead = Time::ms(1), .workers = workers});
+  std::array<int, 3> out{};
+  for (sim::Scheduler& s : sched) eng.add_domain(&s);
+  for (int d = 0; d < 3; ++d) out[d] = eng.connect(d, (d + 1) % 3);
+
+  std::function<void(int, const char*)> hop = [&](int d, const char* tag) {
+    const Time now = sched[d].now();
+    r.logs[d].push_back(std::string(tag) + "@" +
+                        std::to_string(now.to_millis()));
+    if (now >= Time::ms(30)) return;
+    const int next = (d + 1) % 3;
+    // Per-domain delays: hops land both on and off window edges.
+    eng.post(out[d], now + Time::ms(1) + Time::micros(250 * d),
+             [&hop, next, tag] { hop(next, tag); });
+  };
+  eng.post(out[0], Time::ms(1), [&hop] { hop(1, "pre"); });
+  sched[2].schedule_at(Time::ms(5), [&] {
+    eng.post(out[2], Time::ms(6), [&hop] { hop(0, "edge"); });
+  });
+  eng.run_until(Time::ms(5));
+  eng.run_until(Time::ms(9));
+  eng.run_until(Time::ms(40));
+  r.rounds = eng.rounds();
+  r.messages = eng.messages_delivered();
+  r.violations = eng.lookahead_violations();
+  return r;
+}
+
+TEST(ParallelEngineTest, PostsAcrossRunUntilCallsIdenticalAcrossWorkers) {
+  const RingRun one = run_ring(1);
+  ASSERT_FALSE(one.logs[1].empty());
+  EXPECT_EQ(one.logs[1].front(), "pre@" + std::to_string(1.0));
+  const auto edge = std::find_if(
+      one.logs[0].begin(), one.logs[0].end(),
+      [](const std::string& e) { return e.starts_with("edge@"); });
+  ASSERT_NE(edge, one.logs[0].end());
+  EXPECT_EQ(*edge, "edge@" + std::to_string(6.0));
+  // 5 + 4 + 31 windows of 1 ms, plus one inclusive pass per call.
+  EXPECT_EQ(one.rounds, 43u);
+  EXPECT_EQ(one.messages, 45u);
+  EXPECT_EQ(one.violations, 0u);
+  for (const int workers : {2, 3}) {
+    const RingRun r = run_ring(workers);
+    EXPECT_EQ(r.logs, one.logs) << "workers=" << workers;
+    EXPECT_EQ(r.rounds, one.rounds) << "workers=" << workers;
+    EXPECT_EQ(r.messages, one.messages) << "workers=" << workers;
+    EXPECT_EQ(r.violations, 0u) << "workers=" << workers;
+  }
 }
 
 TEST(ParallelEngineTest, LookaheadViolationClampsDeterministically) {

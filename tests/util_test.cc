@@ -1,11 +1,11 @@
-// Unit tests for util: units, RNG, statistics, containers.
+// Unit tests for util: units, RNG, statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
-#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -213,40 +213,6 @@ TEST(StatsTest, EmpiricalCdf) {
   EXPECT_NEAR(cdf[0].fraction, 1.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(cdf[2].value, 3.0);
   EXPECT_DOUBLE_EQ(cdf[2].fraction, 1.0);
-}
-
-TEST(RingBufferTest, FifoSemantics) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  EXPECT_TRUE(rb.push_back(1));
-  EXPECT_TRUE(rb.push_back(2));
-  EXPECT_TRUE(rb.push_back(3));
-  EXPECT_TRUE(rb.full());
-  EXPECT_FALSE(rb.push_back(4));  // full drops
-  EXPECT_EQ(rb.front(), 1);
-  EXPECT_EQ(rb.back(), 3);
-  EXPECT_EQ(rb.pop_front(), 1);
-  EXPECT_TRUE(rb.push_back(4));
-  EXPECT_EQ(rb.at(0), 2);
-  EXPECT_EQ(rb.at(2), 4);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBufferTest, WrapsManyTimes) {
-  RingBuffer<int> rb(4);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(rb.push_back(i));
-    ASSERT_EQ(rb.pop_front(), i);
-  }
-}
-
-TEST(RingBufferTest, Errors) {
-  RingBuffer<int> rb(2);
-  EXPECT_THROW(rb.pop_front(), std::logic_error);
-  EXPECT_THROW(rb.front(), std::logic_error);
-  EXPECT_THROW((void)rb.at(0), std::out_of_range);
-  EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
 }
 
 // Property sweep: lower_median of a window of identical values is that

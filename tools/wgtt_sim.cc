@@ -302,11 +302,11 @@ int main(int argc, char** argv) {
   }
 
   if (o.drive.num_domains > 1 &&
-      (o.drive.system != System::kWgtt || o.parallel_workers > 0 || traced ||
+      (o.drive.system != System::kWgtt || o.parallel_workers > 0 ||
        multichannel)) {
     std::fprintf(stderr,
                  "--domains requires the wgtt system on the sequential "
-                 "engine (no --csv/--channel-reuse/--parallel-workers)\n");
+                 "engine (no --channel-reuse/--parallel-workers)\n");
     return 1;
   }
 
