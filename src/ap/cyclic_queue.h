@@ -10,14 +10,13 @@
 // left behind (the ring is sized to the whole 12-bit space, so overwrite
 // only happens 4096 packets later, far beyond any realistic backlog).
 //
-// Storage: ring slots hold 4-byte net::PacketPool handles, not packets —
-// the 4096-entry ring costs ~32 KB regardless of packet size, and packet
-// memory scales with the live backlog via the pool (see packet_pool.h).
-// The ring itself is allocated lazily on the first put(), so the vast
-// majority of (AP, client) queues in a city-scale deployment — which never
-// receive a packet thanks to the bounded fan-out — cost a few pointers.
-// Every queue stores into a pool it is given: in a system, the one
-// system-wide payload pool the controller's fan-out acquires into.
+// Storage: each ring slot is a 4-byte net::PacketPool handle, with
+// kNullHandle marking an empty slot — the 4096-entry ring costs 16 KB
+// regardless of packet size, and packet memory scales with the live backlog
+// via the pool (see packet_pool.h). The ring itself is allocated lazily on
+// the first put(), so (AP, client) queues that never receive a packet cost
+// a few pointers. Every queue stores into a pool it is given: in a system,
+// the one system-wide payload pool the controller's fan-out acquires into.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +43,9 @@ class CyclicQueue {
   void put(std::uint16_t index, net::Packet packet);
 
   /// Stores an already-pooled handle under `index`, taking ownership of one
-  /// reference (the fan-out path: the controller acquired once and added a
-  /// reference per AP). The handle must belong to this queue's pool. An
-  /// overwritten occupant's reference is dropped, never copied.
+  /// reference (the fan-out path: a DownlinkData payload's Ref::release()).
+  /// The handle must belong to this queue's pool. An overwritten occupant's
+  /// reference is dropped, never copied.
   void put_handle(std::uint16_t index, net::PacketPool::Handle handle);
 
   /// Packet at `index`, if that exact index is present.
@@ -82,13 +81,8 @@ class CyclicQueue {
   void clear();
 
  private:
-  struct Slot {
-    std::uint16_t index = 0;
-    bool occupied = false;
-    net::PacketPool::Handle handle = net::PacketPool::kNullHandle;
-  };
   net::PacketPool* pool_;
-  std::vector<Slot> slots_;
+  std::vector<net::PacketPool::Handle> slots_;  // kNullHandle = empty
   std::size_t occupied_ = 0;
   std::optional<std::uint16_t> newest_;
   std::uint64_t overwrites_ = 0;

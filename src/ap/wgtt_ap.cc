@@ -79,10 +79,10 @@ void WgttAp::set_metrics(obs::MetricsRegistry* registry) {
   m.uplink_forwarded = &registry->counter("ap.uplink_forwarded");
   m.cyclic_occupancy =
       &registry->histogram("ap.cyclic_occupancy", 0.0, 2048.0, 128);
-  m.stop_to_start.set_sink(
-      &registry->histogram("ap.stop_to_start_ms", 0.0, 40.0, 160));
-  m.start_to_ack.set_sink(
-      &registry->histogram("ap.start_to_ack_ms", 0.0, 40.0, 160));
+  m.stop_to_start_ms =
+      &registry->histogram("ap.stop_to_start_ms", 0.0, 40.0, 160);
+  m.start_to_ack_ms =
+      &registry->histogram("ap.start_to_ack_ms", 0.0, 40.0, 160);
   metrics_ = std::move(m);
 }
 
@@ -151,14 +151,7 @@ Time WgttAp::draw_delay(Time mean, Time std) {
 void WgttAp::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
   // Belt and braces: the scenario takes a crashed AP's backhaul link down,
   // so nothing should arrive here — but a dead process handles nothing.
-  // A payload reaching a corpse still owns a pool reference, which must be
-  // dropped or the slot leaks for the rest of the run.
-  if (crashed_) {
-    if (const auto* d = std::get_if<net::DownlinkData>(&msg)) {
-      payload_pool_.drop(d->handle);
-    }
-    return;
-  }
+  if (crashed_) return;
   std::visit(
       [this](auto&& m) {
         using T = std::decay_t<decltype(m)>;
@@ -215,17 +208,11 @@ void WgttAp::restart() {
 }
 
 void WgttAp::handle_downlink(net::DownlinkData&& msg) {
-  // The message carries no Packet body; the client is read through the
-  // shared pool (one indexed load, the handle stays shared).
-  const net::ClientId client = payload_pool_.get(msg.handle)->client;
-  ClientState* cs = client_state(client);
-  if (cs == nullptr) {  // not yet associated here
-    payload_pool_.drop(msg.handle);
-    return;
-  }
+  ClientState* cs = client_state(msg.payload->client);
+  if (cs == nullptr) return;  // not yet associated here
   ++stats_.downlink_received;
   const std::uint64_t overwrites_before = cs->queue.overwrites();
-  cs->queue.put_handle(msg.index, msg.handle);  // adopts the reference
+  cs->queue.put_handle(msg.index, msg.payload.release());
   if (metrics_) {
     metrics_->downlink_received->inc();
     metrics_->cyclic_overwrites->inc(cs->queue.overwrites() -
@@ -252,7 +239,7 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
     // downstream). Replay the RECORDED first-unsent index rather than
     // re-querying: the live next_index belongs to whichever AP is draining
     // now, and a fresh query would hand the new AP a rewound (or advanced)
-    // pointer. No span re-begin either — the switch started once.
+    // pointer. No accepted_at restamp either — the switch started once.
     // An equal-epoch stop over a START record falls through instead: a
     // single controller never stops its serving AP within the same epoch,
     // but an inter-domain quench (the source stopping its drain under the
@@ -284,11 +271,9 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
   ctl.stop_new_ap = msg.new_ap;
   ctl.stop_first_unsent.reset();
   ctl.start_acked = false;
+  ctl.accepted_at = sched_.now();
   ++stats_.stops_handled;
-  if (metrics_) {
-    metrics_->stops_handled->inc();
-    metrics_->stop_to_start.begin(net::index_of(msg.client), sched_.now());
-  }
+  if (metrics_) metrics_->stops_handled->inc();
   // Control packets are prioritized but still cross the Click userspace.
   const Time proc = draw_delay(config_.control_processing_mean,
                                config_.control_processing_std);
@@ -316,7 +301,8 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
       }
       s2->ctl.stop_first_unsent = s2->next_index;
       if (metrics_) {
-        metrics_->stop_to_start.end(net::index_of(client), sched_.now());
+        metrics_->stop_to_start_ms->observe(
+            (sched_.now() - s2->ctl.accepted_at).to_millis());
       }
       backhaul_.send(net::NodeId::ap(id_), net::NodeId::ap(new_ap),
                      net::StartMsg{client, id_, s2->next_index, epoch});
@@ -359,11 +345,9 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
   ctl.op = CtlOp::kStart;
   ctl.start_acked = false;
   ctl.stop_first_unsent.reset();
+  ctl.accepted_at = sched_.now();
   ++stats_.starts_handled;
-  if (metrics_) {
-    metrics_->starts_handled->inc();
-    metrics_->start_to_ack.begin(net::index_of(msg.client), sched_.now());
-  }
+  if (metrics_) metrics_->starts_handled->inc();
   const Time proc = draw_delay(config_.start_processing_mean,
                                config_.start_processing_std);
   sched_.schedule_in(proc, [this, client = msg.client,
@@ -404,7 +388,8 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
     s->next_index = applied;
     s->ctl.start_acked = true;
     if (metrics_) {
-      metrics_->start_to_ack.end(net::index_of(client), sched_.now());
+      metrics_->start_to_ack_ms->observe(
+          (sched_.now() - s->ctl.accepted_at).to_millis());
     }
     backhaul_.send(net::NodeId::ap(id_), controller_node_,
                    net::SwitchAck{client, id_, epoch});
@@ -444,12 +429,10 @@ void WgttAp::on_heard(const mac::Frame& frame,
   const net::ClientId client = it->second;
 
   // CSI extraction on every decoded client frame (§3.1.1).
-  if (csi_reporting_) {
-    ++stats_.csi_reports_sent;
-    if (metrics_) metrics_->csi_reports_sent->inc();
-    backhaul_.send(net::NodeId::ap(id_), controller_node_,
-                   net::CsiReport{id_, client, csi});
-  }
+  ++stats_.csi_reports_sent;
+  if (metrics_) metrics_->csi_reports_sent->inc();
+  backhaul_.send(net::NodeId::ap(id_), controller_node_,
+                 net::CsiReport{id_, client, csi});
 
   // Monitor-mode BA forwarding (§3.2.1): a client BA addressed to another
   // AP is forwarded there; the serving AP has no monitor interface for its

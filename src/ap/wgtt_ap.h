@@ -35,7 +35,6 @@
 #include "net/packet_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/span_timer.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 
@@ -107,9 +106,9 @@ class WgttAp {
   };
 
   /// `payload_pool` is the system-wide downlink payload pool (owned by the
-  /// scenario; must outlive the AP). The controller's DownlinkData handles
-  /// land in cyclic queues backed by it, and every path that discards one
-  /// (unknown client, crashed AP) drops its reference.
+  /// scenario; must outlive the AP). DownlinkData payloads are released
+  /// into cyclic queues backed by it; a discarded message drops its own
+  /// reference.
   WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
          net::Backhaul& backhaul, net::PacketPool& payload_pool, Rng rng,
          Config config, mac::Medium::PositionFn position);
@@ -126,8 +125,6 @@ class WgttAp {
 
   /// Disable/enable block-ACK forwarding (ablation).
   void set_ba_forwarding(bool enabled) { ba_forwarding_ = enabled; }
-  /// Disable CSI reporting (ablation; starves the controller's selector).
-  void set_csi_reporting(bool enabled) { csi_reporting_ = enabled; }
 
   /// Hard crash: every per-client cyclic queue, drain pointer, and
   /// ControlRecord is wiped (volatile state dies with the process), the NIC
@@ -199,6 +196,9 @@ class WgttAp {
     /// next_index belongs to a drain that may have moved on).
     std::optional<std::uint16_t> stop_first_unsent;
     bool start_acked = false;
+    /// When this epoch's stop or start was accepted: the start of the
+    /// ap.stop_to_start_ms / ap.start_to_ack_ms leg it ends in.
+    Time accepted_at;
   };
 
   struct ClientState {
@@ -242,7 +242,6 @@ class WgttAp {
   /// serving_clients()); maintained only through set_serving.
   std::vector<net::ClientId> serving_clients_;
   bool ba_forwarding_ = true;
-  bool csi_reporting_ = true;
   bool crashed_ = false;
   std::uint64_t delivered_at_crash_ = 0;
   Stats stats_;
@@ -265,8 +264,8 @@ class WgttAp {
     obs::Counter* uplink_forwarded;
     obs::Histogram* cyclic_occupancy;  // sampled per downlink arrival
     // The two AP-side legs of Table 1's switch-time breakdown.
-    obs::SpanTracker stop_to_start;  // stop received -> start sent (old AP)
-    obs::SpanTracker start_to_ack;   // start received -> ack sent (new AP)
+    obs::Histogram* stop_to_start_ms;  // stop received -> start sent (old AP)
+    obs::Histogram* start_to_ack_ms;   // start received -> ack sent (new AP)
   };
   std::optional<Metrics> metrics_;
 };

@@ -70,7 +70,7 @@ void BaselineAp::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
       [this](auto&& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, net::DownlinkData>) {
-          auto it = clients_.find(m.packet.client);
+          auto it = clients_.find(m.payload->client);
           if (it == clients_.end()) return;
           ++stats_.downlink_received;
           ClientState& cs = it->second;
@@ -78,7 +78,7 @@ void BaselineAp::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
             ++stats_.socket_drops;
             return;
           }
-          cs.socket_queue.push_back(std::move(m.packet));
+          cs.socket_queue.push_back(*m.payload);
           if (cs.associated) pump(cs);
         } else if constexpr (std::is_same_v<T, net::AssocSync>) {
           // Another AP took this client (or a relayed assoc request).

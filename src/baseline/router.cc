@@ -7,8 +7,9 @@ namespace wgtt::baseline {
 using net::BackhaulMessage;
 using net::NodeId;
 
-Router::Router(sim::Scheduler& sched, net::Backhaul& backhaul)
-    : sched_(sched), backhaul_(backhaul) {
+Router::Router(sim::Scheduler& sched, net::Backhaul& backhaul,
+               net::PacketPool& payload_pool)
+    : sched_(sched), backhaul_(backhaul), payload_pool_(payload_pool) {
   backhaul_.attach(NodeId::controller(),
                    [this](NodeId from, BackhaulMessage msg) {
                      handle_backhaul(from, std::move(msg));
@@ -28,8 +29,11 @@ void Router::send_downlink(net::Packet packet) {
     ++stats_.downlink_dropped_unassociated;
     return;
   }
+  const auto tunnel_bytes = static_cast<std::uint32_t>(packet.tunnel_bytes());
+  net::PacketPool::Ref payload(payload_pool_,
+                               payload_pool_.acquire(std::move(packet)));
   backhaul_.send(NodeId::controller(), NodeId::ap(it->second),
-                 net::DownlinkData{std::move(packet), 0});
+                 net::DownlinkData{0, std::move(payload), tunnel_bytes});
 }
 
 void Router::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {

@@ -15,6 +15,7 @@
 #include "net/backhaul.h"
 #include "net/ids.h"
 #include "net/messages.h"
+#include "net/packet_pool.h"
 #include "sim/scheduler.h"
 
 namespace wgtt::baseline {
@@ -29,7 +30,10 @@ class Router {
     std::uint64_t association_moves = 0;
   };
 
-  Router(sim::Scheduler& sched, net::Backhaul& backhaul);
+  /// `payload_pool` holds the downlink payloads in flight to the APs; it
+  /// must outlive the backhaul's last delivery.
+  Router(sim::Scheduler& sched, net::Backhaul& backhaul,
+         net::PacketPool& payload_pool);
 
   void add_ap(net::ApId ap);
   void add_client(net::ClientId client);
@@ -53,6 +57,7 @@ class Router {
 
   sim::Scheduler& sched_;
   net::Backhaul& backhaul_;
+  net::PacketPool& payload_pool_;
   std::vector<net::ApId> aps_;
   std::unordered_map<net::ClientId, net::ApId> assoc_;
   // Bounded de-dup set, needed once ViFi-style salvaging fans uplink

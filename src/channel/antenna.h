@@ -31,25 +31,12 @@ class ParabolicAntenna {
   /// Gain toward a point, from the antenna position.
   [[nodiscard]] double gain_toward(Vec2 self, Vec2 target) const;
 
-  [[nodiscard]] double peak_gain_dbi() const { return peak_gain_dbi_; }
-  [[nodiscard]] double boresight_rad() const { return boresight_rad_; }
-
  private:
   double peak_gain_dbi_;
   double half_beamwidth_rad_;
   double boresight_rad_;
   double sidelobe_attenuation_db_;
   double rolloff_exponent_;
-};
-
-/// Omnidirectional client antenna (constant gain).
-class OmniAntenna {
- public:
-  explicit OmniAntenna(double gain_dbi = 0.0) : gain_dbi_(gain_dbi) {}
-  [[nodiscard]] double gain_dbi() const { return gain_dbi_; }
-
- private:
-  double gain_dbi_;
 };
 
 }  // namespace wgtt::channel

@@ -99,8 +99,6 @@ class TappedDelayChannel {
   /// Scalar (flat-fading) gain: tap sum without frequency selectivity.
   [[nodiscard]] std::complex<double> flat_gain(Vec2 pos, Time t) const;
 
-  [[nodiscard]] int num_taps() const { return static_cast<int>(taps_.size()); }
-
   /// Upper bound on every csi() gain magnitude at any position and time:
   /// |LoS| + sum over taps of amplitude * SpatialTap::peak_magnitude(), by
   /// the triangle inequality (the subcarrier rotations have unit modulus).

@@ -18,7 +18,6 @@ class LogDistancePathLoss {
                                double reference_loss_db = 40.2);
 
   [[nodiscard]] double loss_db(double distance_m) const;
-  [[nodiscard]] double exponent() const { return exponent_; }
 
  private:
   double exponent_;

@@ -480,21 +480,16 @@ void Controller::send_downlink(net::Packet packet) {
     return;
   }
   // Single-copy fan-out (DESIGN.md §10): the payload enters the pool once;
-  // every target gets a 4-byte handle plus one reference. The wire size is
-  // cached in the message so backhaul latency accounting never touches the
-  // pool.
+  // every target's message copies the Ref (one more reference), and the
+  // acquisition reference drops at scope end.
   const auto tunnel_bytes = static_cast<std::uint32_t>(packet.tunnel_bytes());
-  const net::PacketPool::Handle h = payload_pool_.acquire(std::move(packet));
+  const net::PacketPool::Ref payload(payload_pool_,
+                                     payload_pool_.acquire(std::move(packet)));
   for (net::ApId ap : targets) {
     ++stats_.downlink_fanout_copies;
-    payload_pool_.add_ref(h);
-    net::DownlinkData msg;
-    msg.index = index;
-    msg.handle = h;
-    msg.tunnel_bytes = tunnel_bytes;
-    backhaul_.send(self_node(), NodeId::ap(ap), std::move(msg));
+    backhaul_.send(self_node(), NodeId::ap(ap),
+                   net::DownlinkData{index, payload, tunnel_bytes});
   }
-  payload_pool_.drop(h);  // the acquisition reference; targets hold theirs
   if (metrics_) metrics_->fanout_copies->inc(targets.size());
 }
 

@@ -204,7 +204,8 @@ class Controller {
 
   /// `payload_pool` is the system-wide downlink payload pool (owned by the
   /// scenario; must outlive the controller): send_downlink acquires each
-  /// packet once and fans out N refcounted 4-byte handles (DESIGN.md §10).
+  /// packet once and sends each target AP one counted Ref to it
+  /// (DESIGN.md §10).
   Controller(sim::Scheduler& sched, net::Backhaul& backhaul,
              net::PacketPool& payload_pool, Config config);
 
@@ -267,7 +268,6 @@ class Controller {
   /// scenario uses it to route server-side downlink.
   std::function<void(net::ClientId, std::uint32_t)> on_ownership_changed;
 
-  [[nodiscard]] std::uint32_t domain_id() const { return config_.domains.id; }
   /// Does this controller currently own the client's control plane?
   [[nodiscard]] bool owns_client(net::ClientId client) const;
   /// Is an inter-domain handover of this client outstanding here (as the

@@ -11,9 +11,7 @@ std::size_t wire_bytes(const BackhaulMessage& msg) {
       [](const auto& m) -> std::size_t {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, DownlinkData>) {
-          // A pooled message cached its wire size at fan-out so latency
-          // accounting never dereferences the pool.
-          return m.pooled() ? m.tunnel_bytes : m.packet.tunnel_bytes();
+          return m.tunnel_bytes;
         } else if constexpr (std::is_same_v<T, UplinkData>) {
           return m.packet.tunnel_bytes();
         } else if constexpr (std::is_same_v<T, CsiReport>) {
@@ -117,22 +115,6 @@ void Backhaul::set_node_up(NodeId node, bool up) {
   }
 }
 
-void Backhaul::drop_payload(const BackhaulMessage& msg) {
-  if (payload_pool_ == nullptr) return;
-  if (const auto* d = std::get_if<DownlinkData>(&msg);
-      d != nullptr && d->pooled()) {
-    payload_pool_->drop(d->handle);
-  }
-}
-
-void Backhaul::ref_payload(const BackhaulMessage& msg) {
-  if (payload_pool_ == nullptr) return;
-  if (const auto* d = std::get_if<DownlinkData>(&msg);
-      d != nullptr && d->pooled()) {
-    payload_pool_->add_ref(d->handle);
-  }
-}
-
 double Backhaul::max_link_utilization(Time now) const {
   if (now <= Time::zero()) return 0.0;
   double best = 0.0;
@@ -145,7 +127,6 @@ double Backhaul::max_link_utilization(Time now) const {
 
 void Backhaul::send(NodeId from, NodeId to, BackhaulMessage msg) {
   if (!handlers_.contains(to)) {
-    drop_payload(msg);
     throw std::logic_error("Backhaul::send to unattached node");
   }
   ++sent_;
@@ -155,12 +136,10 @@ void Backhaul::send(NodeId from, NodeId to, BackhaulMessage msg) {
       (down_nodes_.contains(from) || down_nodes_.contains(to))) {
     ++dropped_;
     ++link_dropped_;
-    drop_payload(msg);
     return;
   }
   if (rng_.chance(config_.loss_rate)) {
     ++dropped_;
-    drop_payload(msg);
     return;
   }
   const auto kind = static_cast<std::size_t>(kind_of(msg));
@@ -169,7 +148,6 @@ void Backhaul::send(NodeId from, NodeId to, BackhaulMessage msg) {
     --drop_first_remaining_[kind];
     ++dropped_;
     ++fault_dropped_;
-    drop_payload(msg);
     return;
   }
   // RNG draws are gated on nonzero knobs so an all-zero plan keeps seeded
@@ -177,7 +155,6 @@ void Backhaul::send(NodeId from, NodeId to, BackhaulMessage msg) {
   if (plan.loss_rate > 0.0 && rng_.chance(plan.loss_rate)) {
     ++dropped_;
     ++fault_dropped_;
-    drop_payload(msg);
     return;
   }
 
@@ -201,7 +178,6 @@ void Backhaul::send(NodeId from, NodeId to, BackhaulMessage msg) {
     if (backlog_bytes + bytes > static_cast<double>(config_.link_queue_bytes)) {
       ++dropped_;
       ++queue_drops_;
-      drop_payload(msg);
       return;
     }
     ser_us = bytes * 8.0 / config_.link_rate_mbps;
@@ -272,7 +248,6 @@ void Backhaul::send(NodeId from, NodeId to, BackhaulMessage msg) {
       if (duplicate) {
         ++duplicated_;
         BackhaulMessage copy = msg;
-        ref_payload(copy);
         deliver(from, to, std::move(msg), arrival, reorder);
         deliver(from, to, std::move(copy), arrival + config_.switch_overhead,
                 reorder);
@@ -313,7 +288,6 @@ void Backhaul::send(NodeId from, NodeId to, BackhaulMessage msg) {
   if (duplicate) {
     ++duplicated_;
     BackhaulMessage copy = msg;
-    ref_payload(copy);
     deliver(from, to, std::move(msg), arrival, reorder);
     // The copy trails the original; the FIFO clamp in deliver() keeps it
     // behind both the original and anything sent meanwhile.
@@ -408,17 +382,12 @@ void Backhaul::deliver_parked(std::uint32_t slot) {
   if (!down_nodes_.empty() && down_nodes_.contains(d.to)) {
     ++dropped_;
     ++link_dropped_;
-    drop_payload(d.msg);
     return;
   }
   // Handler looked up at delivery time: attach order vs send order must
   // not matter, and a handler may be replaced mid-run.
   auto it = handlers_.find(d.to);
-  if (it != handlers_.end()) {
-    it->second(d.from, std::move(d.msg));
-  } else {
-    drop_payload(d.msg);
-  }
+  if (it != handlers_.end()) it->second(d.from, std::move(d.msg));
 }
 
 void Backhaul::deliver_batch_parked(std::uint32_t slot) {
@@ -426,18 +395,12 @@ void Backhaul::deliver_batch_parked(std::uint32_t slot) {
   free_batch_in_flight_.push_back(slot);
   if (!down_nodes_.empty() && down_nodes_.contains(b.to)) {
     // The cable cut loses the whole batch on the wire.
-    for (const BackhaulMessage& m : b.msgs) {
-      ++dropped_;
-      ++link_dropped_;
-      drop_payload(m);
-    }
+    dropped_ += b.msgs.size();
+    link_dropped_ += b.msgs.size();
     return;
   }
   const auto it = handlers_.find(b.to);
-  if (it == handlers_.end()) {
-    for (const BackhaulMessage& m : b.msgs) drop_payload(m);
-    return;
-  }
+  if (it == handlers_.end()) return;
   // One event, many messages: invoked in send order so the receiver sees
   // exactly the per-message sequence, just on one timestamp.
   for (BackhaulMessage& m : b.msgs) it->second(b.from, std::move(m));

@@ -34,11 +34,9 @@
 //    flush the open batch and take the per-message path, so fault
 //    semantics (and the per-flow FIFO, reorder excepted) are preserved.
 //
-// Payload pooling: when a PacketPool is wired via set_payload_pool, pooled
-// DownlinkData messages carry a refcounted handle instead of a Packet, and
-// every path that destroys a message without delivering it (loss, queue
-// bound, downed link, missing handler) drops its reference; duplication
-// adds one.
+// The backhaul knows nothing of payload pools: a DownlinkData payload is a
+// counted PacketPool::Ref, so a message lost, cut or left unhandled drops
+// its reference when it is destroyed, and a duplicate's copy adds one.
 #pragma once
 
 #include <array>
@@ -49,7 +47,6 @@
 #include <vector>
 
 #include "net/messages.h"
-#include "net/packet_pool.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 
@@ -121,12 +118,6 @@ class Backhaul {
   /// Registers the message handler for `node`. Re-registering replaces.
   void attach(NodeId node, Handler handler);
 
-  /// Wires the pool behind pooled DownlinkData payloads, so drop paths can
-  /// release references and duplication can add them. The pool must outlive
-  /// the backhaul's last delivery. nullptr detaches (the default: all
-  /// messages carry payloads by value).
-  void set_payload_pool(PacketPool* pool) { payload_pool_ = pool; }
-
   /// Sends `msg` from `from` to `to`; delivery is scheduled on the
   /// simulator. Sending to an unattached node is an error.
   void send(NodeId from, NodeId to, BackhaulMessage msg);
@@ -170,11 +161,6 @@ class Backhaul {
     return (static_cast<std::uint64_t>(std::hash<NodeId>{}(from)) << 32) ^
            std::hash<NodeId>{}(to);
   }
-
-  /// Drops / adds the payload-pool reference of a pooled DownlinkData.
-  /// No-ops for by-value messages or while no pool is wired.
-  void drop_payload(const BackhaulMessage& msg);
-  void ref_payload(const BackhaulMessage& msg);
 
   /// Schedules one delivery at >= `arrival`, clamped to the flow's FIFO
   /// unless `bypass_fifo` (a reorder-faulted message) is set.
@@ -223,7 +209,6 @@ class Backhaul {
   sim::Scheduler& sched_;
   Config config_;
   Rng rng_;
-  PacketPool* payload_pool_ = nullptr;
   std::unordered_map<NodeId, Handler> handlers_;
   std::vector<PendingDelivery> in_flight_;    // grows to the high-water mark
   std::vector<std::uint32_t> free_in_flight_;

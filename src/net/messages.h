@@ -17,22 +17,14 @@
 namespace wgtt::net {
 
 /// Controller -> AP: a downlink data packet, tunnelled, carrying the
-/// client's 12-bit index number for the cyclic queue (§3.1.2).
-///
-/// Two payload representations (DESIGN.md §10). The WGTT controller's
-/// fan-out is pooled: the payload lives once in the system-wide PacketPool
-/// and `handle` carries one reference to it — the message body is then 4
-/// bytes of handle plus the cached wire size (`tunnel_bytes`, so backhaul
-/// latency accounting never needs the pool). Whoever destroys a pooled
-/// message without delivering it must drop its reference. The 802.11r
-/// baseline's Router sends the Packet by value in `packet`.
+/// client's 12-bit index number for the cyclic queue (§3.1.2). The payload
+/// is a counted reference into the sender's PacketPool (DESIGN.md §10), so
+/// a message destroyed anywhere frees its share of the packet.
 struct DownlinkData {
-  Packet packet;
   std::uint16_t index = 0;  // m = 12-bit index number
-  PacketPool::Handle handle = PacketPool::kNullHandle;
-  std::uint32_t tunnel_bytes = 0;  // wire size when pooled
-
-  [[nodiscard]] bool pooled() const { return handle != PacketPool::kNullHandle; }
+  PacketPool::Ref payload;
+  /// Wire size, cached so backhaul latency accounting never reads the pool.
+  std::uint32_t tunnel_bytes = 0;
 };
 
 /// AP -> controller: an overheard uplink packet, tunnelled with the AP's

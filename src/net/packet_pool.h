@@ -1,4 +1,4 @@
-// Pool allocator for packets parked in per-AP cyclic queues.
+// Pool allocator for downlink payloads.
 //
 // The controller fans every downlink packet out to every in-range AP, and
 // each AP parks its copy in a 4096-slot cyclic queue per client (paper
@@ -10,26 +10,31 @@
 // few thousand packets), not with the 12-bit index space times the fan-out
 // width.
 //
-// Handles are refcounted (DESIGN.md §10): a fan-out to N APs acquires the
-// payload once and hands each AP a handle plus one reference, so the N-way
-// Packet copy on the controller's hot path collapses to N add_ref calls.
-// release() decrements and only materializes a Packet — moved out of the
-// slot on the last reference, copied while other holders remain — while
-// drop() decrements without materializing anything (the cyclic-queue
-// overwrite, crash-wipe, and backhaul drop paths use it). Releasing or
-// dropping a dead handle is a hard program error and aborts: a silent
-// double-release would hand the same slot to two owners and corrupt
-// payloads far from the bug.
+// Handles are refcounted (DESIGN.md §10). A downlink payload travels as a
+// Ref: the controller acquires the packet once, and each DownlinkData it
+// sends copies the Ref (one add_ref per target AP instead of an N-way Packet
+// copy). Destroying a Ref drops its reference, so a message that is lost,
+// cut or never handled frees its payload with no bookkeeping at the drop
+// site. The cyclic queue is the one holder of raw handles: it takes them
+// from a Ref with release() and later either release()s the pool slot —
+// moving the Packet out on the last reference, copying while other holders
+// remain — or drop()s it without materializing anything (overwrite, stale
+// skip, crash wipe). Releasing or dropping a dead handle is a hard program
+// error and aborts: a silent double-release would hand the same slot to two
+// owners and corrupt payloads far from the bug.
 //
 // Handles are indices, not pointers: chunk storage never moves, a released
 // slot is recycled LIFO, and all operations are O(1). The pool is
-// single-threaded by design (one pool per AP, one AP per scheduler); the
-// parallel experiment runner gives each trial its own system and therefore
-// its own pools, so no synchronization is needed or provided.
+// single-threaded by design: each system (one scheduler) owns one pool that
+// its controllers, backhaul messages and AP queues share, and the parallel
+// engines give every corridor or trial its own system, so no
+// synchronization is needed or provided. A pool must outlive every Ref and
+// queue that points into it; systems declare it before their backhaul.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
@@ -41,6 +46,39 @@ class PacketPool {
   /// Opaque slot index. Stable for the lifetime of the acquisition.
   using Handle = std::uint32_t;
   static constexpr Handle kNullHandle = 0xffffffffu;
+
+  /// One counted reference to a live handle. Copying adds a reference,
+  /// destruction drops one, and a default or moved-from Ref holds nothing.
+  class Ref {
+   public:
+    Ref() = default;
+    /// Adopts a reference that is already counted (e.g. acquire()'s).
+    Ref(PacketPool& pool, Handle h) : pool_(&pool), h_(h) {}
+    Ref(const Ref& o) : pool_(o.pool_), h_(o.h_) {
+      if (h_ != kNullHandle) pool_->add_ref(h_);
+    }
+    Ref(Ref&& o) noexcept
+        : pool_(o.pool_), h_(std::exchange(o.h_, kNullHandle)) {}
+    Ref& operator=(Ref o) noexcept {  // copy-and-swap: self-assignment safe
+      std::swap(pool_, o.pool_);
+      std::swap(h_, o.h_);
+      return *this;
+    }
+    ~Ref() {
+      if (h_ != kNullHandle) pool_->drop(h_);
+    }
+
+    const Packet& operator*() const { return *pool_->get(h_); }
+    const Packet* operator->() const { return pool_->get(h_); }
+
+    /// Hands the handle and its reference to a holder that tracks them
+    /// itself (the cyclic queue); this Ref then holds nothing.
+    [[nodiscard]] Handle release() { return std::exchange(h_, kNullHandle); }
+
+   private:
+    PacketPool* pool_ = nullptr;
+    Handle h_ = kNullHandle;
+  };
 
   PacketPool() = default;
   PacketPool(const PacketPool&) = delete;
@@ -61,8 +99,8 @@ class PacketPool {
   Packet release(Handle h);
 
   /// Removes one reference without materializing a Packet — the path for
-  /// every "this copy is discarded" case (queue overwrite, crash wipe,
-  /// backhaul loss). Aborts on a dead handle.
+  /// every "this copy is discarded" case (queue overwrite, crash wipe, a
+  /// Ref's destruction). Aborts on a dead handle.
   void drop(Handle h);
 
   /// Current reference count of a handle (0 = free slot).

@@ -10,7 +10,8 @@ BaselineSystem::BaselineSystem(const BaselineSystemConfig& config)
       medium_(sched_, config.medium),
       backhaul_(sched_, config.backhaul, Rng{config.geometry.seed ^ 0xbacc}),
       geometry_(config.geometry) {
-  router_ = std::make_unique<baseline::Router>(sched_, backhaul_);
+  router_ =
+      std::make_unique<baseline::Router>(sched_, backhaul_, payload_pool_);
   for (int i = 0; i < config_.geometry.num_aps; ++i) {
     const net::ApId ap_id{static_cast<std::uint32_t>(i)};
     auto ap = std::make_unique<baseline::BaselineAp>(

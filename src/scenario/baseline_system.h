@@ -13,6 +13,7 @@
 #include "baseline/router.h"
 #include "mac/medium.h"
 #include "net/backhaul.h"
+#include "net/packet_pool.h"
 #include "scenario/testbed.h"
 #include "sim/scheduler.h"
 
@@ -72,6 +73,9 @@ class BaselineSystem {
   Rng rng_;
   sim::Scheduler sched_;
   mac::Medium medium_;
+  // The router's downlink payloads; declared before the backhaul so
+  // messages still in flight drop their references into a live pool.
+  net::PacketPool payload_pool_;
   net::Backhaul backhaul_;
   TestbedGeometry geometry_;
   std::unique_ptr<baseline::Router> router_;

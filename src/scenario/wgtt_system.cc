@@ -45,10 +45,6 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
   const int nd = std::clamp(config_.num_domains, 1,
                             std::max(1, config_.geometry.num_aps));
   if (nd > 1) domain_map_.build(spatial_index_, static_cast<std::uint32_t>(nd));
-  // Single-copy fan-out: the controller acquires once, each target AP holds
-  // a reference, and the backhaul drops/refs payloads along with the
-  // messages it loses or duplicates.
-  backhaul_.set_payload_pool(&payload_pool_);
   for (int d = 0; d < nd; ++d) {
     core::Controller::Config ccfg = config_.controller;
     ccfg.domains.id = static_cast<std::uint32_t>(d);

@@ -130,7 +130,7 @@ struct WgttSystemConfig {
   /// Scripted controller crashes/restarts. Ignored with num_domains == 1.
   std::vector<ControllerFaultScript> controller_faults;
   /// Ignored. The downlink fan-out always acquires each packet once in the
-  /// system-wide net::PacketPool and sends 4-byte refcounted handles
+  /// system-wide net::PacketPool and sends counted references to it
   /// (DESIGN.md §10); the field remains only so existing callers compile.
   bool use_fanout_pool = true;
 };
@@ -177,8 +177,6 @@ class WgttSystem {
   [[nodiscard]] int num_domains() const {
     return static_cast<int>(controllers_.size());
   }
-  /// The AP-to-domain partition; empty when num_domains == 1.
-  [[nodiscard]] const core::DomainMap& domain_map() const { return domain_map_; }
   /// The domain the server currently routes client i's downlink through.
   [[nodiscard]] int owner_domain(int client) const {
     return owner_of_.at(static_cast<std::size_t>(client));
@@ -259,10 +257,11 @@ class WgttSystem {
   Rng rng_;
   sim::Scheduler sched_;
   mac::Medium medium_;
-  net::Backhaul backhaul_;
-  // Shared downlink payload pool. Declared before the controllers and APs
-  // so their queues (which hold pool references) are destroyed first.
+  // Shared downlink payload pool. Declared before the backhaul, controllers
+  // and APs, so messages still in flight and the cyclic queues drop their
+  // references into a pool that is still alive.
   net::PacketPool payload_pool_;
+  net::Backhaul backhaul_;
   TestbedGeometry geometry_;
   core::SpatialIndex spatial_index_;
   mutable std::vector<int> spatial_scratch_;

@@ -101,7 +101,6 @@ void UdpSource::emit() {
   p.payload_bytes = config_.payload_bytes;
   p.app_seq = next_seq_++;
   p.created = sched_.now();
-  ++sent_;
   send_(std::move(p));
   pending_ = sched_.schedule_in(interval_, [this] { emit(); },
                                 sim::EventCategory::kTimer);

@@ -29,8 +29,6 @@ class UdpSource {
 
   void start();
   void stop();
-  [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
 
  private:
   void emit();
@@ -40,7 +38,6 @@ class UdpSource {
   Config config_;
   Time interval_;
   bool running_ = false;
-  std::uint64_t sent_ = 0;
   std::uint32_t next_seq_ = 0;
   std::uint16_t next_ip_id_ = 1;
   sim::EventId pending_{};

@@ -223,11 +223,10 @@ class WgttApTest : public ::testing::Test {
   /// Sends what the controller's fan-out sends: one pooled reference.
   void send_downlink(WgttAp& ap, std::uint16_t index) {
     net::Packet p = data_packet(kClient, sched_.now());
-    net::DownlinkData d;
-    d.index = index;
-    d.tunnel_bytes = static_cast<std::uint32_t>(p.tunnel_bytes());
-    d.handle = pool_.acquire(std::move(p));
-    backhaul_.send(NodeId::controller(), NodeId::ap(ap.id()), std::move(d));
+    const auto tunnel_bytes = static_cast<std::uint32_t>(p.tunnel_bytes());
+    net::PacketPool::Ref payload(pool_, pool_.acquire(std::move(p)));
+    backhaul_.send(NodeId::controller(), NodeId::ap(ap.id()),
+                   net::DownlinkData{index, std::move(payload), tunnel_bytes});
   }
 
   int count_controller(auto pred) const {
@@ -238,10 +237,10 @@ class WgttApTest : public ::testing::Test {
     return n;
   }
 
+  net::PacketPool pool_;  // outlives the backhaul's messages and AP queues
   sim::Scheduler sched_;
   mac::Medium medium_;
   net::Backhaul backhaul_;
-  net::PacketPool pool_;  // outlives the APs' queues
   std::unique_ptr<WgttAp> ap0_;
   std::unique_ptr<WgttAp> ap1_;
   std::unique_ptr<mac::WifiMac> client_mac_;
@@ -433,19 +432,6 @@ TEST_F(WgttApTest, CsiReportedOnClientFrames) {
               return std::holds_alternative<net::CsiReport>(m);
             }),
             2);  // one per AP at least (data frame; BAs may add more)
-}
-
-TEST_F(WgttApTest, CsiReportingCanBeDisabled) {
-  ap0_->set_csi_reporting(false);
-  ap1_->set_csi_reporting(false);
-  net::Packet up = data_packet(kClient, sched_.now());
-  up.downlink = false;
-  client_mac_->enqueue(mac::kBssidWgtt, up);
-  sched_.run_until(Time::ms(50));
-  EXPECT_EQ(count_controller([](const BackhaulMessage& m) {
-              return std::holds_alternative<net::CsiReport>(m);
-            }),
-            0);
 }
 
 TEST_F(WgttApTest, ForwardedBaDeduplicated) {

@@ -162,9 +162,9 @@ class ControllerTest : public ::testing::Test {
     return n;
   }
 
+  net::PacketPool pool_;  // outlives the backhaul's in-flight messages
   sim::Scheduler sched_;
   net::Backhaul backhaul_;
-  net::PacketPool pool_;
   std::unique_ptr<Controller> controller_;
   std::map<std::uint32_t, std::vector<std::pair<NodeId, BackhaulMessage>>> ap_log_;
 };

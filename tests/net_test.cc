@@ -17,6 +17,13 @@
 namespace wgtt::net {
 namespace {
 
+/// A DownlinkData holding the only reference to a pooled copy of `p` (the
+/// controller's fan-out message once its acquisition reference is gone).
+DownlinkData pooled(PacketPool& pool, const Packet& p, std::uint16_t index) {
+  return DownlinkData{index, PacketPool::Ref(pool, pool.acquire(Packet(p))),
+                      static_cast<std::uint32_t>(p.tunnel_bytes())};
+}
+
 TEST(PacketTest, UidsUniqueAndResettable) {
   reset_packet_uids();
   const Packet a = make_packet();
@@ -41,7 +48,8 @@ TEST(PacketTest, SizeAccounting) {
 TEST(MessagesTest, WireBytes) {
   Packet p = make_packet();
   p.payload_bytes = 1000;
-  EXPECT_EQ(wire_bytes(DownlinkData{p, 5}), p.tunnel_bytes());
+  PacketPool pool;
+  EXPECT_EQ(wire_bytes(pooled(pool, p, 5)), p.tunnel_bytes());
   EXPECT_EQ(wire_bytes(UplinkData{ApId{0}, p}), p.tunnel_bytes());
   EXPECT_EQ(wire_bytes(StopMsg{}), 64u);
   EXPECT_EQ(wire_bytes(StartMsg{}), 64u);
@@ -78,6 +86,7 @@ TEST(NodeIdTest, IdentityAndHash) {
 
 class BackhaulTest : public ::testing::Test {
  protected:
+  PacketPool pool_;  // declared before any Backhaul, so it outlives them
   sim::Scheduler sched_;
 };
 
@@ -115,10 +124,11 @@ TEST_F(BackhaulTest, LargerMessagesTakeLonger) {
   Packet p = make_packet();
   p.payload_bytes = 1400;
   bh.send(NodeId::ap(ApId{0}), NodeId::controller(), StopMsg{});
-  bh.send(NodeId::ap(ApId{0}), NodeId::controller(), DownlinkData{p, 0});
+  bh.send(NodeId::ap(ApId{0}), NodeId::controller(), pooled(pool_, p, 0));
   sched_.run_all();
   EXPECT_EQ(count, 2);
   EXPECT_LT(small_at, big_at);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, UnattachedDestinationThrows) {
@@ -191,13 +201,14 @@ TEST_F(BackhaulTest, PerFlowFifoDespiteJitter) {
   for (std::uint16_t i = 0; i < 500; ++i) {
     Packet p = make_packet();
     p.payload_bytes = 100;
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   ASSERT_EQ(received.size(), 500u);
   for (std::uint16_t i = 0; i < 500; ++i) {
     ASSERT_EQ(received[i], i) << "backhaul reordered a flow";
   }
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, IndependentFlowsMayInterleave) {
@@ -211,11 +222,12 @@ TEST_F(BackhaulTest, IndependentFlowsMayInterleave) {
   bh.attach(NodeId::ap(ApId{1}), [&](NodeId, BackhaulMessage) { order.push_back(1); });
   Packet big = make_packet();
   big.payload_bytes = 60'000;  // long serialization to AP0
-  bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{big, 0});
+  bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, big, 0));
   bh.send(NodeId::controller(), NodeId::ap(ApId{1}), StopMsg{});
   sched_.run_all();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);  // the tiny control message was not queued behind
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST(MessagesTest, KindOfMatchesAlternative) {
@@ -311,7 +323,7 @@ TEST_F(BackhaulTest, InjectedDelayPreservesPerFlowFifo) {
   for (std::uint16_t i = 0; i < 300; ++i) {
     Packet p = make_packet();
     p.payload_bytes = 100;
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   ASSERT_EQ(received.size(), 300u);
@@ -319,6 +331,7 @@ TEST_F(BackhaulTest, InjectedDelayPreservesPerFlowFifo) {
     ASSERT_EQ(received[i], i) << "injected delay reordered a flow";
   }
   EXPECT_GT(bh.messages_delayed(), 0u);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, ZeroFaultPlanKeepsSeededRunsIdentical) {
@@ -365,7 +378,7 @@ TEST_F(BackhaulTest, ReorderInjectionEscapesPerFlowFifo) {
   for (std::uint16_t i = 0; i < 300; ++i) {
     Packet p = make_packet();
     p.payload_bytes = 100;
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   ASSERT_EQ(received.size(), 300u);  // reorder never drops
@@ -380,6 +393,7 @@ TEST_F(BackhaulTest, ReorderInjectionEscapesPerFlowFifo) {
   for (std::uint16_t i = 0; i < 300; ++i) {
     ASSERT_EQ(sorted[i], i) << "reorder lost or duplicated a message";
   }
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, DownNodeDropsAtSendTimeBothDirections) {
@@ -439,13 +453,14 @@ TEST_F(BackhaulTest, FiniteLinkRateSerializesBackToBack) {
   p.payload_bytes = 1000 - kIpUdpHeaderBytes - kTunnelHeaderBytes;
   const Time ser = Time::micros(1000.0 * 8.0 / cfg.link_rate_mbps);
   for (std::uint16_t i = 0; i < 3; ++i) {
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], ser + cfg.switch_overhead);
   EXPECT_EQ(arrivals[1] - arrivals[0], ser);
   EXPECT_EQ(arrivals[2] - arrivals[1], ser);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, LinkQueueBoundDropsExcessBytes) {
@@ -465,7 +480,7 @@ TEST_F(BackhaulTest, LinkQueueBoundDropsExcessBytes) {
   Packet p = make_packet();
   p.payload_bytes = 1000 - kIpUdpHeaderBytes - kTunnelHeaderBytes;
   for (std::uint16_t i = 0; i < 50; ++i) {
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   EXPECT_GT(bh.queue_drops(), 0u);
@@ -475,6 +490,7 @@ TEST_F(BackhaulTest, LinkQueueBoundDropsExcessBytes) {
     ASSERT_LT(received[i - 1], received[i]);
   }
   EXPECT_GT(bh.max_link_utilization(sched_.now()), 0.0);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, BatchingCoalescesDeliveriesInOrder) {
@@ -496,7 +512,7 @@ TEST_F(BackhaulTest, BatchingCoalescesDeliveriesInOrder) {
   Packet p = make_packet();
   p.payload_bytes = 500;
   for (std::uint16_t i = 0; i < 10; ++i) {
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   ASSERT_EQ(received.size(), 10u);
@@ -507,6 +523,7 @@ TEST_F(BackhaulTest, BatchingCoalescesDeliveriesInOrder) {
     EXPECT_EQ(arrivals[static_cast<std::size_t>(i)], arrivals[0])
         << "batch members must share one arrival timestamp";
   }
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, BatchMaxMsgsBoundsCoalescing) {
@@ -521,12 +538,13 @@ TEST_F(BackhaulTest, BatchMaxMsgsBoundsCoalescing) {
   Packet p = make_packet();
   p.payload_bytes = 500;
   for (std::uint16_t i = 0; i < 10; ++i) {
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   EXPECT_EQ(got, 10);
   // 10 sends at max 4 per batch: two full flushes plus the window flush.
   EXPECT_EQ(bh.batches_flushed(), 3u);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, ControlFlushesOpenBatchAndStaysBehindIt) {
@@ -548,7 +566,7 @@ TEST_F(BackhaulTest, ControlFlushesOpenBatchAndStaysBehindIt) {
   Packet p = make_packet();
   p.payload_bytes = 500;
   for (std::uint16_t i = 0; i < 3; ++i) {
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   bh.send(NodeId::controller(), NodeId::ap(ApId{0}), StopMsg{});
   sched_.run_all();
@@ -557,6 +575,7 @@ TEST_F(BackhaulTest, ControlFlushesOpenBatchAndStaysBehindIt) {
   EXPECT_EQ(order[1], 1);
   EXPECT_EQ(order[2], 2);
   EXPECT_EQ(order[3], -1);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, BatchingPreservesFifoUnderLossDupDelay) {
@@ -580,7 +599,7 @@ TEST_F(BackhaulTest, BatchingPreservesFifoUnderLossDupDelay) {
   for (std::uint16_t i = 0; i < 600; ++i) {
     Packet p = make_packet();
     p.payload_bytes = 200;
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   EXPECT_GT(bh.messages_batched(), 0u);
@@ -591,6 +610,7 @@ TEST_F(BackhaulTest, BatchingPreservesFifoUnderLossDupDelay) {
     ASSERT_GE(received[i], received[i - 1])
         << "batching let the flow overtake itself at delivery " << i;
   }
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, ReorderStillEscapesFifoWithBatching) {
@@ -607,7 +627,7 @@ TEST_F(BackhaulTest, ReorderStillEscapesFifoWithBatching) {
   for (std::uint16_t i = 0; i < 400; ++i) {
     Packet p = make_packet();
     p.payload_bytes = 200;
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), DownlinkData{p, i});
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   sched_.run_all();
   ASSERT_EQ(received.size(), 400u);  // reorder never drops
@@ -619,92 +639,137 @@ TEST_F(BackhaulTest, ReorderStillEscapesFifoWithBatching) {
   std::vector<std::uint16_t> sorted = received;
   std::sort(sorted.begin(), sorted.end());
   for (std::uint16_t i = 0; i < 400; ++i) ASSERT_EQ(sorted[i], i);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 // --- pooled payloads across the backhaul ----------------------------------
 
-/// Builds a pooled DownlinkData whose single reference the message owns
-/// (the controller's fan-out pattern after its acquisition ref is dropped).
-DownlinkData pooled_msg(PacketPool& pool, std::uint16_t index) {
-  Packet p = make_packet();
-  p.payload_bytes = 700;
-  DownlinkData d;
-  d.index = index;
-  d.tunnel_bytes = static_cast<std::uint32_t>(p.tunnel_bytes());
-  d.handle = pool.acquire(std::move(p));
-  return d;
-}
-
 TEST_F(BackhaulTest, PooledPayloadRefsDropOnEveryLossPath) {
   // Whatever kills a pooled message — uniform loss, plan loss, a downed
-  // link, the queue bound — must drop its pool reference, or the payload
-  // leaks forever. Drive each path and end at zero live refs.
+  // link, the queue bound — destroys it and so drops its pool reference, or
+  // the payload would leak forever. Drive each path and end at zero refs.
   Backhaul::Config cfg;
   cfg.loss_rate = 0.5;
   cfg.link_rate_mbps = 10.0;
   cfg.link_queue_bytes = 2000;  // tight: forces queue drops too
-  PacketPool pool;
   Backhaul bh(sched_, cfg, Rng{31});
-  bh.set_payload_pool(&pool);
+  int got = 0;
   bh.attach(NodeId::ap(ApId{0}), [&](NodeId, BackhaulMessage msg) {
-    if (auto* d = std::get_if<DownlinkData>(&msg)) {
-      ASSERT_TRUE(d->pooled());
-      pool.drop(d->handle);  // the receiver adopts, then consumes
-    }
+    if (std::holds_alternative<DownlinkData>(msg)) ++got;
   });
   bh.attach(NodeId::controller(), [](NodeId, BackhaulMessage) {});
+  Packet p = make_packet();
+  p.payload_bytes = 700;
   for (std::uint16_t i = 0; i < 100; ++i) {
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled_msg(pool, i));
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   // And the in-flight-toward-a-downed-node path:
-  bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled_msg(pool, 100));
+  bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, 100));
   bh.set_node_up(NodeId::ap(ApId{0}), false);
   sched_.run_all();
+  EXPECT_EQ(got, 0);  // the cable cut catches every survivor in flight
   EXPECT_GT(bh.messages_dropped(), 0u);
   EXPECT_GT(bh.queue_drops(), 0u);
-  EXPECT_EQ(pool.total_refs(), 0u) << "a drop path leaked a payload ref";
-  EXPECT_EQ(pool.in_use(), 0u);
+  EXPECT_GT(bh.link_dropped(), 0u);
+  EXPECT_EQ(pool_.total_refs(), 0u) << "a drop path leaked a payload ref";
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, PooledDuplicateCarriesItsOwnRef) {
   Backhaul::Config cfg;
   cfg.fault(MsgKind::kDownlinkData).dup_rate = 1.0;
-  PacketPool pool;
   Backhaul bh(sched_, cfg, Rng{31});
-  bh.set_payload_pool(&pool);
   int got = 0;
   bh.attach(NodeId::ap(ApId{0}), [&](NodeId, BackhaulMessage msg) {
     if (auto* d = std::get_if<DownlinkData>(&msg)) {
       ++got;
-      pool.drop(d->handle);
+      EXPECT_EQ(d->payload->payload_bytes, 700u);  // the payload is live
     }
   });
   bh.attach(NodeId::controller(), [](NodeId, BackhaulMessage) {});
+  Packet p = make_packet();
+  p.payload_bytes = 700;
   for (std::uint16_t i = 0; i < 5; ++i) {
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled_msg(pool, i));
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
+  EXPECT_EQ(pool_.total_refs(), 10u);  // each original + its copy
+  EXPECT_EQ(pool_.in_use(), 5u);       // ... sharing one payload
   sched_.run_all();
-  EXPECT_EQ(got, 10);  // each original + its copy, each with a live ref
-  EXPECT_EQ(pool.total_refs(), 0u);
-  EXPECT_EQ(pool.in_use(), 0u);
+  EXPECT_EQ(got, 10);
+  EXPECT_EQ(pool_.total_refs(), 0u);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(BackhaulTest, PooledBatchDropsRefsWithTheCable) {
   // A whole batch lost to a cable cut drops one ref per member.
   Backhaul::Config cfg;
   cfg.batching = true;
-  PacketPool pool;
   Backhaul bh(sched_, cfg, Rng{31});
-  bh.set_payload_pool(&pool);
   bh.attach(NodeId::ap(ApId{0}), [](NodeId, BackhaulMessage) {
     FAIL() << "nothing may arrive through a cut cable";
   });
   bh.attach(NodeId::controller(), [](NodeId, BackhaulMessage) {});
+  Packet p = make_packet();
+  p.payload_bytes = 700;
   for (std::uint16_t i = 0; i < 6; ++i) {
-    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled_msg(pool, i));
+    bh.send(NodeId::controller(), NodeId::ap(ApId{0}), pooled(pool_, p, i));
   }
   bh.set_node_up(NodeId::ap(ApId{0}), false);  // cut while the batch is open
   sched_.run_all();
+  EXPECT_EQ(bh.link_dropped(), 6u);
+  EXPECT_EQ(pool_.total_refs(), 0u);
+  EXPECT_EQ(pool_.in_use(), 0u);
+}
+
+TEST_F(BackhaulTest, PooledPayloadToUnattachedNodeIsDropped) {
+  // A send that throws still destroys its message, freeing the payload.
+  Backhaul bh(sched_, {}, Rng{31});
+  bh.attach(NodeId::ap(ApId{0}), [](NodeId, BackhaulMessage) {});
+  Packet p = make_packet();
+  EXPECT_THROW(
+      bh.send(NodeId::ap(ApId{0}), NodeId::controller(), pooled(pool_, p, 0)),
+      std::logic_error);
+  EXPECT_EQ(pool_.in_use(), 0u);
+}
+
+TEST(PacketPoolTest, RefCountsCopiesAndHandsOffOnRelease) {
+  PacketPool pool;
+  Packet p = make_packet();
+  p.ip_id = 9;
+  const PacketPool::Handle h = pool.acquire(std::move(p));
+  const PacketPool::Handle other = pool.acquire(make_packet());
+  {
+    const PacketPool::Ref a(pool, h);  // adopts acquire()'s reference
+    EXPECT_EQ(pool.ref_count(h), 1u);
+    EXPECT_EQ(a->ip_id, 9);
+    EXPECT_EQ((*a).ip_id, 9);
+
+    PacketPool::Ref b = a;  // a copy adds a reference
+    EXPECT_EQ(pool.ref_count(h), 2u);
+    PacketPool::Ref c = std::move(b);  // a move transfers without one
+    EXPECT_EQ(pool.ref_count(h), 2u);
+    EXPECT_EQ(c->ip_id, 9);
+
+    const PacketPool::Ref& alias = c;
+    c = alias;  // self-assignment is safe
+    EXPECT_EQ(pool.ref_count(h), 2u);
+
+    // Assigning over a live Ref drops the reference it held.
+    PacketPool::Ref d(pool, other);
+    d = c;
+    EXPECT_EQ(pool.ref_count(other), 0u);
+    EXPECT_EQ(pool.ref_count(h), 3u);
+
+    // release() hands the handle off with its reference, dropping nothing.
+    const PacketPool::Handle raw = d.release();
+    EXPECT_EQ(raw, h);
+    EXPECT_EQ(pool.ref_count(h), 3u);
+    pool.drop(raw);
+
+    // A default Ref, moved-from b and released d drop nothing at scope end.
+    const PacketPool::Ref empty;
+    EXPECT_EQ(pool.ref_count(h), 2u);
+  }
   EXPECT_EQ(pool.total_refs(), 0u);
   EXPECT_EQ(pool.in_use(), 0u);
 }

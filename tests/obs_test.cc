@@ -14,7 +14,6 @@
 #include "mobility/trajectory.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/span_timer.h"
 #include "scenario/wgtt_system.h"
 #include "trace/tracer.h"
 #include "transport/udp.h"
@@ -355,37 +354,6 @@ TEST(RegistryMergeTest, EmptySourceLeavesSnapshotUnchanged) {
   const MetricsRegistry empty;
   a.merge_from(empty);
   EXPECT_EQ(a.to_json(), before);
-}
-
-TEST(SpanTrackerTest, BeginEndCancel) {
-  Histogram sink(0.0, 100.0, 100);
-  SpanTracker spans(&sink);
-  EXPECT_EQ(spans.open_spans(), 0u);
-
-  spans.begin(7, Time::ms(10));
-  spans.begin(8, Time::ms(12));
-  EXPECT_EQ(spans.open_spans(), 2u);
-
-  const auto ms = spans.end(7, Time::ms(27));
-  ASSERT_TRUE(ms.has_value());
-  EXPECT_DOUBLE_EQ(*ms, 17.0);
-  EXPECT_EQ(sink.count(), 1u);
-  EXPECT_DOUBLE_EQ(sink.max(), 17.0);
-
-  // Ending an unknown key observes nothing.
-  EXPECT_FALSE(spans.end(99, Time::ms(30)).has_value());
-  EXPECT_EQ(sink.count(), 1u);
-
-  // Ending the other open span observes it.
-  EXPECT_DOUBLE_EQ(spans.end(8, Time::ms(40)).value(), 28.0);
-  EXPECT_EQ(spans.open_spans(), 0u);
-  EXPECT_EQ(sink.count(), 2u);
-
-  // begin() restarts an already-open span.
-  spans.begin(5, Time::ms(0));
-  spans.begin(5, Time::ms(50));
-  EXPECT_EQ(spans.open_spans(), 1u);
-  EXPECT_DOUBLE_EQ(spans.end(5, Time::ms(60)).value(), 10.0);
 }
 
 // End-to-end: drive a client through the picocell chain with BOTH the

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "mobility/trajectory.h"
+#include "scenario/baseline_system.h"
 #include "scenario/testbed.h"
 #include "scenario/wgtt_system.h"
 #include "transport/udp.h"
@@ -229,6 +230,63 @@ TEST(WgttSystemTest, ServingApReportedAndChanges) {
   EXPECT_NE(sys.serving_ap(c), -1);
   // The serving AP trends forward along the road overall.
   EXPECT_GT(timeline.back(), timeline.front());
+}
+
+// --- payload teardown ---------------------------------------------------------
+// Destroying a system mid-drive frees every downlink payload still in flight
+// on the backhaul or parked in a cyclic queue. Each system declares its pool
+// before its backhaul, so those references drop into a live pool; the asan
+// preset catches a pool destroyed first.
+
+/// 10 Mb/s of downlink UDP for client 0, through `server_send`.
+template <typename System>
+transport::UdpSource downlink_source(System& sys) {
+  return transport::UdpSource(
+      sys.sched(),
+      [&sys](net::Packet p) {
+        p.client = ClientId{0};
+        sys.server_send(std::move(p));
+      },
+      transport::UdpSource::Config{.rate_mbps = 10.0, .client = ClientId{0}});
+}
+
+TEST(PayloadTeardownTest, WgttSystemMidDriveWithDownlinkInFlight) {
+  mobility::LineDrive drive(-10.0, 0.0, mph_to_mps(15.0));
+  WgttSystemConfig cfg;
+  cfg.geometry.seed = 23;
+  WgttSystem sys(cfg);
+  sys.add_client(&drive);
+  sys.start();
+  transport::UdpSource src = downlink_source(sys);
+  src.start();
+  sys.run_until(Time::sec(3));
+  const std::uint64_t sent = sys.backhaul().messages_sent();
+  net::Packet p = net::make_packet();
+  p.client = ClientId{0};
+  sys.controller().send_downlink(p);
+  // The fan-out is parked in the backhaul, undelivered, as the system dies.
+  EXPECT_GT(sys.backhaul().messages_sent(), sent);
+}
+
+TEST(PayloadTeardownTest, BaselineSystemMidDriveWithDownlinkInFlight) {
+  mobility::LineDrive drive(-10.0, 0.0, mph_to_mps(15.0));
+  BaselineSystemConfig cfg;
+  cfg.geometry.seed = 23;
+  BaselineSystem sys(cfg);
+  const int c = sys.add_client(&drive);
+  sys.start();
+  transport::UdpSource src = downlink_source(sys);
+  src.start();
+  sys.run_until(Time::sec(3));
+  ASSERT_GE(sys.serving_ap(c), 0);
+  const baseline::Router::Stats before = sys.router().stats();
+  net::Packet p = net::make_packet();
+  p.client = ClientId{0};
+  sys.router().send_downlink(p);
+  // Sent toward the associated AP and parked in the backhaul as it dies.
+  EXPECT_EQ(sys.router().stats().downlink_packets, before.downlink_packets + 1);
+  EXPECT_EQ(sys.router().stats().downlink_dropped_unassociated,
+            before.downlink_dropped_unassociated);
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 //   - one process (pid) per client, named via "M" metadata events;
 //   - "X" complete slices on the per-client "switching" track for every
 //     kSwitchInitiated → kSwitchCompleted pair (the stop→start→ack span,
-//     the same interval the WgttAp SpanTrackers decompose), with
+//     whose AP-side legs the ap.stop_to_start_ms / ap.start_to_ack_ms
+//     histograms time), with
 //     from/to/protocol_ms in args;
 //   - "C" counter tracks: serving AP (from switch completions), and from
 //     the timeline goodput_mbps, top-candidate ESNR, cwnd/srtt.
