@@ -496,33 +496,28 @@ DriveResult run_drive(const DriveConfig& cfg) {
     invariants = wgtt->check_invariants();
     result.invariant_violations = invariants.violations.size();
     for (int i = 0; i < wgtt->num_aps(); ++i) {
-      const auto& aps = wgtt->ap(i).stats();
-      result.idempotent_replies += aps.stop_duplicates + aps.start_duplicates +
-                                   aps.stale_control_ignored;
-    }
-    for (int i = 0; i < wgtt->num_aps(); ++i) {
-      const auto s = wgtt->ap(i).mac().total_stats();
+      const auto& s = wgtt->ap(i).mac().stats();
       result.retransmissions += s.retransmissions;
       result.mpdus_delivered += s.mpdus_delivered;
       result.delivered_via_forwarded_ba += s.mpdus_delivered_via_forwarded_ba;
       result.stale_dropped += wgtt->ap(i).stats().stale_dropped;
     }
     for (int i = 0; i < n; ++i) {
-      result.ba_heard += wgtt->client(i).mac().ba_frames_heard();
-      result.ba_collided += wgtt->client(i).mac().ba_frames_collided();
+      result.ba_heard += wgtt->client(i).mac().stats().ba_heard;
+      result.ba_collided += wgtt->client(i).mac().stats().ba_collided;
     }
   } else {
     for (int i = 0; i < n; ++i) {
       result.switches += base->client(i).stats().handovers_completed;
     }
     for (int i = 0; i < base->num_aps(); ++i) {
-      const auto s = base->ap(i).mac().total_stats();
+      const auto& s = base->ap(i).mac().stats();
       result.retransmissions += s.retransmissions;
       result.mpdus_delivered += s.mpdus_delivered;
     }
     for (int i = 0; i < n; ++i) {
-      result.ba_heard += base->client(i).mac().ba_frames_heard();
-      result.ba_collided += base->client(i).mac().ba_frames_collided();
+      result.ba_heard += base->client(i).mac().stats().ba_heard;
+      result.ba_collided += base->client(i).mac().stats().ba_collided;
     }
   }
 
@@ -597,35 +592,26 @@ std::vector<DriveResult> TrialPool::run() {
 
   const auto start = std::chrono::steady_clock::now();
   std::exception_ptr error;
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
+  std::atomic<std::size_t> next{0};
+  std::mutex err_mu;
+  // One claim loop: the calling thread runs it, and workers - 1 threads
+  // join it.
+  const auto claim = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
       try {
         results[i] = run_drive(trials_[i]);
       } catch (...) {
+        std::scoped_lock lock(err_mu);
         if (!error) error = std::current_exception();
       }
     }
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::mutex err_mu;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= count) return;
-          try {
-            results[i] = run_drive(trials_[i]);
-          } catch (...) {
-            std::scoped_lock lock(err_mu);
-            if (!error) error = std::current_exception();
-          }
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
+  };
+  std::vector<std::thread> threads;
+  for (int w = 1; w < workers; ++w) threads.emplace_back(claim);
+  claim();
+  for (auto& t : threads) t.join();
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();

@@ -187,9 +187,6 @@ struct DriveResult {
   // Switching-protocol health (WGTT system only).
   std::uint64_t stop_retransmissions = 0;
   std::uint64_t stale_acks_ignored = 0;
-  /// Retransmitted stops/starts answered idempotently at the APs, plus
-  /// stale control discarded — how hard the epoch guard worked.
-  std::uint64_t idempotent_replies = 0;
   /// End-of-run WgttSystem::check_invariants violations (0 = clean).
   std::size_t invariant_violations = 0;
   // AP liveness & failover (zero unless ap_faults/liveness configured).

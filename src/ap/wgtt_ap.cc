@@ -30,7 +30,6 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
     auto it = client_of_radio_.find(from);
     if (it == client_of_radio_.end()) return;
     ++stats_.uplink_forwarded;
-    if (metrics_) metrics_->uplink_forwarded->inc();
     backhaul_.send(NodeId::ap(id_), controller_node_,
                    net::UplinkData{id_, pkt});
   };
@@ -58,25 +57,29 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
 }
 
 void WgttAp::set_metrics(obs::MetricsRegistry* registry) {
+  counters_.reset();
   if (registry == nullptr) {
     metrics_.reset();
     return;
   }
+  const auto bind = [&](std::string_view name, const std::uint64_t& field) {
+    counters_.bind(registry->counter(name), field);
+  };
+  bind("ap.downlink_received", stats_.downlink_received);
+  bind("ap.cyclic_overwrites", stats_.cyclic_overwrites);
+  bind("ap.stale_dropped", stats_.stale_dropped);
+  bind("ap.pump_enqueued", stats_.pump_enqueued);
+  bind("ap.stops_handled", stats_.stops_handled);
+  bind("ap.starts_handled", stats_.starts_handled);
+  bind("ap.stop_duplicates", stats_.stop_duplicates);
+  bind("ap.start_duplicates", stats_.start_duplicates);
+  bind("ap.stale_control_ignored", stats_.stale_control_ignored);
+  bind("ap.ba_forwarded", stats_.ba_forwarded);
+  bind("ap.ba_forward_received", stats_.ba_forward_received);
+  bind("ap.ba_forward_duplicate", stats_.ba_forward_duplicate);
+  bind("ap.csi_reports_sent", stats_.csi_reports_sent);
+  bind("ap.uplink_forwarded", stats_.uplink_forwarded);
   Metrics m;
-  m.downlink_received = &registry->counter("ap.downlink_received");
-  m.cyclic_overwrites = &registry->counter("ap.cyclic_overwrites");
-  m.stale_dropped = &registry->counter("ap.stale_dropped");
-  m.pump_enqueued = &registry->counter("ap.pump_enqueued");
-  m.stops_handled = &registry->counter("ap.stops_handled");
-  m.starts_handled = &registry->counter("ap.starts_handled");
-  m.stop_duplicates = &registry->counter("ap.stop_duplicates");
-  m.start_duplicates = &registry->counter("ap.start_duplicates");
-  m.stale_control_ignored = &registry->counter("ap.stale_control_ignored");
-  m.ba_forwarded = &registry->counter("ap.ba_forwarded");
-  m.ba_forward_received = &registry->counter("ap.ba_forward_received");
-  m.ba_forward_duplicate = &registry->counter("ap.ba_forward_duplicate");
-  m.csi_reports_sent = &registry->counter("ap.csi_reports_sent");
-  m.uplink_forwarded = &registry->counter("ap.uplink_forwarded");
   m.cyclic_occupancy =
       &registry->histogram("ap.cyclic_occupancy", 0.0, 2048.0, 128);
   m.stop_to_start_ms =
@@ -166,7 +169,6 @@ void WgttAp::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
         } else if constexpr (std::is_same_v<T, net::Heartbeat>) {
           // Answered inline, no Click crossing: the liveness probe runs in
           // the kernel path and the RTT sample measures the backhaul alone.
-          ++stats_.heartbeats_answered;
           backhaul_.send(NodeId::ap(id_), controller_node_,
                          net::HeartbeatAck{id_, m.seq});
         } else if constexpr (std::is_same_v<T, net::AdoptAp>) {
@@ -188,7 +190,7 @@ void WgttAp::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++stats_.crashes;
-  delivered_at_crash_ = mac_.total_stats().mpdus_delivered;
+  delivered_at_crash_ = mac_.stats().mpdus_delivered;
   for (auto& [client, cs] : clients_) {
     cs.queue.clear();
     set_serving(cs, client, false);
@@ -213,10 +215,8 @@ void WgttAp::handle_downlink(net::DownlinkData&& msg) {
   ++stats_.downlink_received;
   const std::uint64_t overwrites_before = cs->queue.overwrites();
   cs->queue.put_handle(msg.index, msg.payload.release());
+  stats_.cyclic_overwrites += cs->queue.overwrites() - overwrites_before;
   if (metrics_) {
-    metrics_->downlink_received->inc();
-    metrics_->cyclic_overwrites->inc(cs->queue.overwrites() -
-                                     overwrites_before);
     metrics_->cyclic_occupancy->observe(
         static_cast<double>(cs->queue.occupancy()));
   }
@@ -231,7 +231,6 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
     // A leftover of an already-superseded switch; acting on it would stop
     // a drain the controller believes is live.
     ++stats_.stale_control_ignored;
-    if (metrics_) metrics_->stale_control_ignored->inc();
     return;
   }
   if (ctl.have_epoch && msg.epoch == ctl.epoch && ctl.op == CtlOp::kStop) {
@@ -245,7 +244,6 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
     // but an inter-domain quench (the source stopping its drain under the
     // target's minted epoch, or an ownership yield) legitimately does.
     ++stats_.stop_duplicates;
-    if (metrics_) metrics_->stop_duplicates->inc();
     if (ctl.op == CtlOp::kStop && ctl.stop_first_unsent) {
       const Time proc = draw_delay(config_.control_processing_mean,
                                    config_.control_processing_std);
@@ -273,7 +271,6 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
   ctl.start_acked = false;
   ctl.accepted_at = sched_.now();
   ++stats_.stops_handled;
-  if (metrics_) metrics_->stops_handled->inc();
   // Control packets are prioritized but still cross the Click userspace.
   const Time proc = draw_delay(config_.control_processing_mean,
                                config_.control_processing_std);
@@ -319,7 +316,6 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
     // for a later switch: becoming "serving" again would duplicate the
     // client's serving AP.
     ++stats_.stale_control_ignored;
-    if (metrics_) metrics_->stale_control_ignored->inc();
     return;
   }
   if (ctl.have_epoch && msg.epoch == ctl.epoch) {
@@ -327,7 +323,6 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
     // only: re-applying the stale k would rewind next_index and
     // re-transmit everything already delivered since.
     ++stats_.start_duplicates;
-    if (metrics_) metrics_->start_duplicates->inc();
     if (ctl.op == CtlOp::kStart && ctl.start_acked) {
       const Time proc = draw_delay(config_.control_processing_mean,
                                    config_.control_processing_std);
@@ -347,7 +342,6 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
   ctl.stop_first_unsent.reset();
   ctl.accepted_at = sched_.now();
   ++stats_.starts_handled;
-  if (metrics_) metrics_->starts_handled->inc();
   const Time proc = draw_delay(config_.start_processing_mean,
                                config_.start_processing_std);
   sched_.schedule_in(proc, [this, client = msg.client,
@@ -409,11 +403,9 @@ void WgttAp::handle_ba_forward(const net::BlockAckForward& msg) {
   ClientState* cs = client_state(msg.client);
   if (cs == nullptr) return;
   ++stats_.ba_forward_received;
-  if (metrics_) metrics_->ba_forward_received->inc();
   if (ba_seen(*cs, msg.ba_uid)) {
     // Already merged (own NIC or another AP's forward): drop (§3.2.1).
     ++stats_.ba_forward_duplicate;
-    if (metrics_) metrics_->ba_forward_duplicate->inc();
     return;
   }
   mac::BaBitmap ba;
@@ -430,7 +422,6 @@ void WgttAp::on_heard(const mac::Frame& frame,
 
   // CSI extraction on every decoded client frame (§3.1.1).
   ++stats_.csi_reports_sent;
-  if (metrics_) metrics_->csi_reports_sent->inc();
   backhaul_.send(net::NodeId::ap(id_), controller_node_,
                  net::CsiReport{id_, client, csi});
 
@@ -449,7 +440,6 @@ void WgttAp::on_heard(const mac::Frame& frame,
     const std::optional<net::ApId> dest = ap_of_radio_(frame.to);
     if (!dest || *dest == id_) return;
     ++stats_.ba_forwarded;
-    if (metrics_) metrics_->ba_forwarded->inc();
     backhaul_.send(
         net::NodeId::ap(id_), net::NodeId::ap(*dest),
         net::BlockAckForward{client, id_, ba->start_seq, ba->bitmap, frame.tx_uid});
@@ -466,10 +456,9 @@ void WgttAp::pump(ClientState& cs) {
         // decrements the pool reference, no Packet is materialized.
         cs.queue.drop(cs.next_index);
         ++stats_.stale_dropped;
-        if (metrics_) metrics_->stale_dropped->inc();
       } else {
         mac_.enqueue(cs.radio, *cs.queue.take(cs.next_index), cs.next_index);
-        if (metrics_) metrics_->pump_enqueued->inc();
+        ++stats_.pump_enqueued;
       }
       cs.next_index = (cs.next_index + 1) & (CyclicQueue::kIndexSpace - 1);
       continue;

@@ -92,7 +92,10 @@ class WgttAp {
     std::uint64_t ba_forward_received = 0;
     std::uint64_t ba_forward_duplicate = 0;
     std::uint64_t stale_dropped = 0;
-    std::uint64_t heartbeats_answered = 0;
+    /// Packets pumped from the cyclic queue into the NIC hardware queue.
+    std::uint64_t pump_enqueued = 0;
+    /// Downlink arrivals that lapped an undrained cyclic-queue slot.
+    std::uint64_t cyclic_overwrites = 0;
     /// AdoptAp messages that re-homed this AP to a different controller
     /// domain (controller failover or recovery).
     std::uint64_t adoptions = 0;
@@ -173,8 +176,9 @@ class WgttAp {
 
   /// Registers and starts recording `ap.*` metrics (cyclic-queue depth and
   /// overwrites, BA-forward traffic, the per-AP legs of the switch
-  /// protocol). Instruments are shared by name, so every AP aggregates into
-  /// the same `ap.*` series. nullptr detaches.
+  /// protocol). The counters are bound to stats() fields. Instruments are
+  /// shared by name, so every AP aggregates into the same `ap.*` series.
+  /// nullptr detaches, keeping the counts made so far.
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
@@ -245,23 +249,10 @@ class WgttAp {
   bool crashed_ = false;
   std::uint64_t delivered_at_crash_ = 0;
   Stats stats_;
+  obs::CounterBinding counters_;  // stats_ fields -> registry counters
   std::unique_ptr<sim::Timer> pump_timer_;
 
   struct Metrics {
-    obs::Counter* downlink_received;
-    obs::Counter* cyclic_overwrites;  // ring lapped an undrained slot
-    obs::Counter* stale_dropped;
-    obs::Counter* pump_enqueued;
-    obs::Counter* stops_handled;
-    obs::Counter* starts_handled;
-    obs::Counter* stop_duplicates;
-    obs::Counter* start_duplicates;
-    obs::Counter* stale_control_ignored;
-    obs::Counter* ba_forwarded;
-    obs::Counter* ba_forward_received;
-    obs::Counter* ba_forward_duplicate;
-    obs::Counter* csi_reports_sent;
-    obs::Counter* uplink_forwarded;
     obs::Histogram* cyclic_occupancy;  // sampled per downlink arrival
     // The two AP-side legs of Table 1's switch-time breakdown.
     obs::Histogram* stop_to_start_ms;  // stop received -> start sent (old AP)

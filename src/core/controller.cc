@@ -57,25 +57,27 @@ Controller::Controller(sim::Scheduler& sched, net::Backhaul& backhaul,
 }
 
 void Controller::set_metrics(obs::MetricsRegistry* registry) {
+  counters_.reset();
   if (registry == nullptr) {
     metrics_.reset();
     return;
   }
+  const auto bind = [&](std::string_view name, const std::uint64_t& field) {
+    counters_.bind(registry->counter(name), field);
+  };
+  bind("controller.csi_reports", stats_.csi_reports);
+  bind("controller.selection_evaluations", stats_.selection_evaluations);
+  bind("controller.switches_initiated", stats_.switches_initiated);
+  bind("controller.switches_completed", stats_.switches_completed);
+  bind("controller.stop_retransmissions", stats_.stop_retransmissions);
+  bind("controller.stale_acks_ignored", stats_.stale_acks_ignored);
+  bind("controller.downlink_packets", stats_.downlink_packets);
+  bind("controller.fanout_copies", stats_.downlink_fanout_copies);
+  bind("controller.fanout_empty_drops", stats_.fanout_empty_drops);
+  bind("controller.uplink_packets", stats_.uplink_packets);
+  bind("controller.dedup_hits", stats_.uplink_duplicates_dropped);
+  bind("controller.dedup_misses", stats_.uplink_accepted);
   Metrics m;
-  m.csi_reports = &registry->counter("controller.csi_reports");
-  m.selection_evaluations =
-      &registry->counter("controller.selection_evaluations");
-  m.switches_initiated = &registry->counter("controller.switches_initiated");
-  m.switches_completed = &registry->counter("controller.switches_completed");
-  m.stop_retransmissions =
-      &registry->counter("controller.stop_retransmissions");
-  m.stale_acks_ignored = &registry->counter("controller.stale_acks_ignored");
-  m.downlink_packets = &registry->counter("controller.downlink_packets");
-  m.fanout_copies = &registry->counter("controller.fanout_copies");
-  m.fanout_empty_drops = &registry->counter("controller.fanout_empty_drops");
-  m.uplink_packets = &registry->counter("controller.uplink_packets");
-  m.dedup_hits = &registry->counter("controller.dedup_hits");
-  m.dedup_misses = &registry->counter("controller.dedup_misses");
   m.dedup_table_size = &registry->gauge("controller.dedup_table_size");
   // 0.25 ms buckets keep the Table-1 percentile estimate well inside the
   // 1 ms agreement bound with the exact trace-derived values.
@@ -84,9 +86,9 @@ void Controller::set_metrics(obs::MetricsRegistry* registry) {
   // Liveness instruments exist only when liveness does, so a fault-free
   // snapshot keeps the exact key set (and bytes) of a pre-liveness build.
   if (config_.liveness_enabled) {
-    m.ap_marked_dead = &registry->counter("controller.ap_marked_dead");
-    m.ap_readmitted = &registry->counter("controller.ap_readmitted");
-    m.forced_failovers = &registry->counter("controller.forced_failovers");
+    bind("controller.ap_marked_dead", stats_.aps_marked_dead);
+    bind("controller.ap_readmitted", stats_.aps_readmitted);
+    bind("controller.forced_failovers", stats_.forced_failovers);
     m.heartbeat_rtt_ms =
         &registry->histogram("controller.heartbeat_rtt_ms", 0.0, 5.0, 100);
   }
@@ -94,21 +96,21 @@ void Controller::set_metrics(obs::MetricsRegistry* registry) {
   // key-set reason. Shared by name, so every domain controller aggregates
   // into one series.
   if (multi_domain()) {
-    m.handover_requests = &registry->counter("controller.handover_requests");
-    m.handovers_out = &registry->counter("domain.handovers_out");
-    m.handovers_in = &registry->counter("domain.handovers_in");
-    m.handover_retries = &registry->counter("domain.handover_retries");
-    m.handover_aborts = &registry->counter("domain.handover_aborts");
-    m.penalty_blocked = &registry->counter("domain.penalty_blocked");
-    m.csi_forwarded = &registry->counter("domain.csi_forwarded");
-    m.uplink_fwd = &registry->counter("domain.uplink_forwarded");
-    m.downlink_fwd = &registry->counter("domain.downlink_forwarded");
-    m.switch_acks_fwd = &registry->counter("domain.switch_acks_forwarded");
-    m.misrouted_dropped = &registry->counter("domain.misrouted_dropped");
-    m.peers_marked_dead = &registry->counter("domain.peers_marked_dead");
-    m.aps_adopted = &registry->counter("domain.aps_adopted");
-    m.clients_adopted = &registry->counter("domain.clients_adopted");
-    m.ownership_yields = &registry->counter("domain.ownership_yields");
+    bind("controller.handover_requests", stats_.handover_requests);
+    bind("domain.handovers_out", stats_.handovers_out);
+    bind("domain.handovers_in", stats_.handovers_in);
+    bind("domain.handover_retries", stats_.handover_retries);
+    bind("domain.handover_aborts", stats_.handover_aborts);
+    bind("domain.penalty_blocked", stats_.penalty_blocked);
+    bind("domain.csi_forwarded", stats_.csi_forwarded);
+    bind("domain.uplink_forwarded", stats_.uplink_forwarded);
+    bind("domain.downlink_forwarded", stats_.downlink_forwarded);
+    bind("domain.switch_acks_forwarded", stats_.switch_acks_forwarded);
+    bind("domain.misrouted_dropped", stats_.misrouted_dropped);
+    bind("domain.peers_marked_dead", stats_.peers_marked_dead);
+    bind("domain.aps_adopted", stats_.aps_adopted);
+    bind("domain.clients_adopted", stats_.clients_adopted);
+    bind("domain.ownership_yields", stats_.ownership_yields);
     m.handover_ms =
         &registry->histogram("controller.handover_ms", 0.0, 120.0, 240);
   }
@@ -138,7 +140,6 @@ void Controller::add_client(net::ClientId client) {
     ClientState* s = state(client);
     if (s == nullptr || !s->switch_pending) return;
     ++stats_.stop_retransmissions;
-    if (metrics_) metrics_->stop_retransmissions->inc();
     send_switch(client, *s);
     s->ack_timer->start(config_.ack_timeout);
   }, sim::EventCategory::kControl);
@@ -156,9 +157,6 @@ void Controller::add_client(net::ClientId client) {
         return;
       }
       ++stats_.handover_retries;
-      if (metrics_ && metrics_->handover_retries) {
-        metrics_->handover_retries->inc();
-      }
       s->domain->ho_timeout = s->domain->ho_timeout * 2;  // exponential backoff
       send_handover_request(client, *s);
     }, sim::EventCategory::kControl);
@@ -215,21 +213,21 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
           if (cs != nullptr && cs->owned()) {
             process_csi(m.report, *cs);
           } else {
-            count_misrouted();
+            ++stats_.misrouted_dropped;
           }
         } else if constexpr (std::is_same_v<T, net::UplinkForward>) {
           ClientState* cs = state(m.data.packet.client);
           if (cs != nullptr && cs->owned()) {
             handle_uplink(std::move(m.data));
           } else {
-            count_misrouted();
+            ++stats_.misrouted_dropped;
           }
         } else if constexpr (std::is_same_v<T, net::DownlinkForward>) {
           ClientState* cs = state(m.packet.client);
           if (cs != nullptr && cs->owned()) {
             send_downlink(std::move(m.packet));
           } else {
-            count_misrouted();
+            ++stats_.misrouted_dropped;
           }
         } else if constexpr (std::is_same_v<T, net::HandoverRequest>) {
           handle_handover_request(std::move(m));
@@ -253,7 +251,6 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
 
 void Controller::handle_csi(const net::CsiReport& report) {
   ++stats_.csi_reports;
-  if (metrics_) metrics_->csi_reports->inc();
   ClientState* cs = state(report.client);
   if (cs == nullptr) return;
   if (!cs->owned()) {
@@ -261,7 +258,7 @@ void Controller::handle_csi(const net::CsiReport& report) {
     // near the boundary): relay to the believed owner, whose argmax seeing
     // our AP win is exactly what triggers the inter-domain handover.
     relay_to_owner(*cs->domain, net::CsiForward{config_.domains.id, report},
-                   stats_.csi_forwarded, &Metrics::csi_forwarded);
+                   stats_.csi_forwarded);
     return;
   }
   process_csi(report, *cs);
@@ -281,7 +278,7 @@ void Controller::process_csi(const net::CsiReport& report, ClientState& cs) {
 void Controller::maybe_switch(net::ClientId client, ClientState& cs) {
   if (cs.switch_pending) return;  // at most one outstanding switch
   if (cs.domain && cs.domain->ho_pending) return;  // ... or handover
-  if (metrics_) metrics_->selection_evaluations->inc();
+  ++stats_.selection_evaluations;
 
   const auto best = tracker_.best_ap(client, sched_.now(), eviction_mask());
   if (!best) return;
@@ -346,7 +343,6 @@ void Controller::begin_switch(net::ClientId client, ClientState& cs,
   cs.pending_since = sched_.now();
   cs.pending_first_index = first_index;
   ++stats_.switches_initiated;
-  if (metrics_) metrics_->switches_initiated->inc();
   if (on_switch_initiated) {
     on_switch_initiated(client, cs.serving, target, sched_.now());
   }
@@ -388,12 +384,11 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
     // without this the owner's switch retransmits forever against an ack
     // that keeps landing on the wrong controller.
     if (msg.relayed) {
-      count_misrouted();
+      ++stats_.misrouted_dropped;
     } else {
       net::SwitchAck fwd = msg;
       fwd.relayed = true;
-      relay_to_owner(*cs.domain, fwd, stats_.switch_acks_forwarded,
-                     &Metrics::switch_acks_fwd);
+      relay_to_owner(*cs.domain, fwd, stats_.switch_acks_forwarded);
     }
     return;
   }
@@ -405,7 +400,6 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
   if (!cs.switch_pending || msg.from_ap != cs.pending_target ||
       msg.epoch != cs.epoch) {
     ++stats_.stale_acks_ignored;
-    if (metrics_) metrics_->stale_acks_ignored->inc();
     return;
   }
   end_switch(cs);
@@ -414,7 +408,6 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
   cs.last_switch_completed = sched_.now();
   ++stats_.switches_completed;
   if (metrics_) {
-    metrics_->switches_completed->inc();
     metrics_->switch_time_ms->observe(
         (sched_.now() - cs.pending_since).to_millis());
   }
@@ -432,11 +425,10 @@ void Controller::send_downlink(net::Packet packet) {
     // (routing lags ownership during a handover): relay it once.
     relay_to_owner(*cs.domain, net::DownlinkForward{config_.domains.id,
                                             std::move(packet)},
-                   stats_.downlink_forwarded, &Metrics::downlink_fwd);
+                   stats_.downlink_forwarded);
     return;
   }
   ++stats_.downlink_packets;
-  if (metrics_) metrics_->downlink_packets->inc();
 
   const std::uint16_t index = cs.next_index;
   cs.next_index = (cs.next_index + 1) & 0x0fff;  // m = 12 bits
@@ -475,7 +467,6 @@ void Controller::send_downlink(net::Packet packet) {
     // point the client is effectively partitioned from the deployment and
     // upper layers (TCP, the operator's dashboards) deserve to know.
     ++stats_.fanout_empty_drops;
-    if (metrics_) metrics_->fanout_empty_drops->inc();
     if (on_fanout_empty) on_fanout_empty(packet.client, sched_.now());
     return;
   }
@@ -490,19 +481,6 @@ void Controller::send_downlink(net::Packet packet) {
     backhaul_.send(self_node(), NodeId::ap(ap),
                    net::DownlinkData{index, payload, tunnel_bytes});
   }
-  if (metrics_) metrics_->fanout_copies->inc(targets.size());
-}
-
-bool Controller::dedup_accept(const net::Packet& p) {
-  if (!dedup_insert(dedup_key(p.client, p.ip_id))) {
-    if (metrics_) metrics_->dedup_hits->inc();
-    return false;
-  }
-  if (metrics_) {
-    metrics_->dedup_misses->inc();
-    metrics_->dedup_table_size->set(static_cast<double>(dedup_set_.size()));
-  }
-  return true;
 }
 
 bool Controller::dedup_insert(std::uint64_t key) {
@@ -522,19 +500,22 @@ bool Controller::dedup_insert(std::uint64_t key) {
 
 void Controller::handle_uplink(net::UplinkData&& msg) {
   ++stats_.uplink_packets;
-  if (metrics_) metrics_->uplink_packets->inc();
   const ClientState* cs = state(msg.packet.client);
   if (cs != nullptr && !cs->owned()) {
     // Only the owner de-duplicates (its ring is the authoritative one);
     // relay to it.
     relay_to_owner(*cs->domain,
                    net::UplinkForward{config_.domains.id, std::move(msg)},
-                   stats_.uplink_forwarded, &Metrics::uplink_fwd);
+                   stats_.uplink_forwarded);
     return;
   }
-  if (!dedup_accept(msg.packet)) {
+  if (!dedup_insert(dedup_key(msg.packet.client, msg.packet.ip_id))) {
     ++stats_.uplink_duplicates_dropped;
     return;
+  }
+  ++stats_.uplink_accepted;
+  if (metrics_) {
+    metrics_->dedup_table_size->set(static_cast<double>(dedup_set_.size()));
   }
   if (on_uplink) on_uplink(msg.packet);
 }
@@ -542,22 +523,13 @@ void Controller::handle_uplink(net::UplinkData&& msg) {
 // --- Multi-controller domains (DESIGN.md §12) ----------------------------
 
 void Controller::relay_to_owner(const DomainClient& dc,
-                                net::BackhaulMessage msg, std::uint64_t& stat,
-                                obs::Counter* Metrics::*counter) {
+                                net::BackhaulMessage msg, std::uint64_t& stat) {
   const std::uint32_t owner = dc.owner_domain;
   if (owner != config_.domains.id && peer_alive(owner)) {
     ++stat;
-    if (metrics_ && (*metrics_).*counter) ((*metrics_).*counter)->inc();
     backhaul_.send(self_node(), NodeId::controller(owner), std::move(msg));
   } else {
-    count_misrouted();
-  }
-}
-
-void Controller::count_misrouted() {
-  ++stats_.misrouted_dropped;
-  if (metrics_ && metrics_->misrouted_dropped) {
-    metrics_->misrouted_dropped->inc();
+    ++stats_.misrouted_dropped;
   }
 }
 
@@ -568,9 +540,6 @@ void Controller::consider_handover(net::ClientId client, ClientState& cs,
     // Boundary flap damping: a recent handover involving this target (in
     // either direction) bars another attempt until the window expires.
     ++stats_.penalty_blocked;
-    if (metrics_ && metrics_->penalty_blocked) {
-      metrics_->penalty_blocked->inc();
-    }
     return;
   }
   if (!peer_alive(target_domain)) return;
@@ -593,9 +562,6 @@ void Controller::initiate_handover(net::ClientId client, ClientState& cs,
   dc.ho_started = sched_.now();
   dc.ho_timeout = config_.domains.handover_timeout;
   ++stats_.handover_requests;
-  if (metrics_ && metrics_->handover_requests) {
-    metrics_->handover_requests->inc();
-  }
   send_handover_request(client, cs);
 }
 
@@ -626,9 +592,6 @@ void Controller::abort_handover(net::ClientId client, DomainClient& dc) {
   penalty_.arm(client, dc.ho_target_domain,
                sched_.now() + config_.domains.penalty_window);
   ++stats_.handover_aborts;
-  if (metrics_ && metrics_->handover_aborts) {
-    metrics_->handover_aborts->inc();
-  }
 }
 
 void Controller::end_handover(DomainClient& dc) {
@@ -697,7 +660,6 @@ void Controller::handle_handover_request(net::HandoverRequest&& msg) {
   end_switch(cs);
   cs.serving.reset();
   ++stats_.handovers_in;
-  if (metrics_ && metrics_->handovers_in) metrics_->handovers_in->inc();
   // Bar an immediate hand-back to the source: the client just crossed the
   // boundary toward us, and flapping straight back is the ping-pong the
   // penalty timer exists to damp.
@@ -749,11 +711,8 @@ void Controller::handle_handover_ack(const net::HandoverAck& msg) {
   dc.owned = false;
   dc.owner_domain = msg.from_domain;
   ++stats_.handovers_out;
-  if (metrics_) {
-    if (metrics_->handovers_out) metrics_->handovers_out->inc();
-    if (metrics_->handover_ms) {
-      metrics_->handover_ms->observe((sched_.now() - dc.ho_started).to_millis());
-    }
+  if (metrics_ && metrics_->handover_ms) {
+    metrics_->handover_ms->observe((sched_.now() - dc.ho_started).to_millis());
   }
   if (old_serving && *old_serving != dc.ho_target_ap) {
     backhaul_.send(self_node(), NodeId::ap(*old_serving),
@@ -774,9 +733,6 @@ void Controller::handle_handover_ack(const net::HandoverAck& msg) {
 void Controller::peer_dead(std::uint32_t domain) {
   last_peer_transition_ = sched_.now();
   ++stats_.peers_marked_dead;
-  if (metrics_ && metrics_->peers_marked_dead) {
-    metrics_->peers_marked_dead->inc();
-  }
   // Handovers in flight toward the corpse can never complete: abort them
   // now instead of burning the whole retry budget.
   for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
@@ -838,7 +794,6 @@ void Controller::adopt_domain(std::uint32_t dead) {
                    net::AdoptAp{config_.domains.id});
     add_ap(ap);
     ++stats_.aps_adopted;
-    if (metrics_ && metrics_->aps_adopted) metrics_->aps_adopted->inc();
   }
   // The corpse's clients are picked up by the client sweep in
   // reevaluate_adoptions (the caller), keyed off the believed owner.
@@ -861,9 +816,6 @@ void Controller::adopt_client(net::ClientId client, ClientState& cs) {
   end_switch(cs);
   end_handover(dc);
   ++stats_.clients_adopted;
-  if (metrics_ && metrics_->clients_adopted) {
-    metrics_->clients_adopted->inc();
-  }
   if (on_ownership_changed) {
     on_ownership_changed(client, config_.domains.id);
   }
@@ -877,12 +829,11 @@ void Controller::adopt_client(net::ClientId client, ClientState& cs) {
     cs.serving.reset();
     const auto target = tracker_.best_ap(client, sched_.now(),
                                          eviction_mask());
+    // With no usable CSI anywhere yet the client stays unserved (degraded):
+    // the adopted APs' first reports (they now flow here) re-bootstrap it
+    // through the normal path.
     if (target) {
       begin_switch(client, cs, *target, /*forced=*/true, cs.next_index);
-    } else {
-      // Degraded: no usable CSI anywhere yet. The adopted APs' first
-      // reports (they now flow here) re-bootstrap through the normal path.
-      ++stats_.adopted_unserved;
     }
   }
 }
@@ -959,9 +910,6 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
       if (e.epoch > cs.epoch ||
           (e.epoch == cs.epoch && msg.src_domain < me)) {
         ++stats_.ownership_yields;
-        if (metrics_ && metrics_->ownership_yields) {
-          metrics_->ownership_yields->inc();
-        }
         end_switch(cs);
         end_handover(dc);
         if (cs.serving && !(e.has_serving && e.serving == *cs.serving)) {
@@ -1165,7 +1113,6 @@ void Controller::mark_dead(net::ApId ap) {
   const auto idx = static_cast<std::size_t>(net::index_of(ap));
   ap_evicted_[idx] = true;
   ++stats_.aps_marked_dead;
-  if (metrics_ && metrics_->ap_marked_dead) metrics_->ap_marked_dead->inc();
   // Any client whose stream touches the dead AP — serving through it, or
   // mid-switch into or out of it — is failed over immediately rather than
   // waiting out retransmissions toward a corpse. One scan per AP death, in
@@ -1208,9 +1155,6 @@ void Controller::force_failover(net::ClientId client, ClientState& cs) {
       std::min<std::uint64_t>(config_.failover_replay, cs.downlink_sent));
   ++cs.epoch;
   ++stats_.forced_failovers;
-  if (metrics_ && metrics_->forced_failovers) {
-    metrics_->forced_failovers->inc();
-  }
   begin_switch(client, cs, *target, /*forced=*/true,
                static_cast<std::uint16_t>((cs.next_index - replay) & 0x0fff));
 }
@@ -1219,7 +1163,6 @@ void Controller::readmit(net::ApId ap) {
   const auto idx = static_cast<std::size_t>(net::index_of(ap));
   ap_evicted_[idx] = false;
   ++stats_.aps_readmitted;
-  if (metrics_ && metrics_->ap_readmitted) metrics_->ap_readmitted->inc();
   for (net::ClientId client : orphaned_[idx]) quench_orphan(ap, client);
   orphaned_[idx].clear();
 }

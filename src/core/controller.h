@@ -130,9 +130,14 @@ class Controller {
 
   struct Stats {
     std::uint64_t csi_reports = 0;
+    /// AP-selection passes run (a client with no switch or handover
+    /// outstanding got fresh CSI).
+    std::uint64_t selection_evaluations = 0;
     std::uint64_t downlink_packets = 0;
     std::uint64_t downlink_fanout_copies = 0;
     std::uint64_t uplink_packets = 0;
+    /// Uplink packets whose de-dup key was new (passed toward the server).
+    std::uint64_t uplink_accepted = 0;
     std::uint64_t uplink_duplicates_dropped = 0;
     std::uint64_t switches_initiated = 0;
     std::uint64_t switches_completed = 0;
@@ -186,9 +191,6 @@ class Controller {
     std::uint64_t aps_adopted = 0;
     std::uint64_t aps_returned = 0;
     std::uint64_t clients_adopted = 0;
-    /// Adopted with no usable CSI anywhere: unserved until the re-homed
-    /// APs' first reports re-bootstrap (degraded mode).
-    std::uint64_t adopted_unserved = 0;
     /// Ownership released to a peer whose gossiped epoch was newer
     /// (split-brain reconciliation).
     std::uint64_t ownership_yields = 0;
@@ -351,8 +353,8 @@ class Controller {
 
   /// Registers and starts recording `controller.*` metrics (selection
   /// decisions, de-dup hit/miss and table occupancy, switch-phase timing).
-  /// nullptr detaches. Instrument pointers resolve once, here — the data
-  /// path only pays a null check plus relaxed increments.
+  /// The counters are bound to stats() fields; gauge and histogram pointers
+  /// resolve once, here. nullptr detaches, keeping the counts made so far.
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
@@ -387,8 +389,6 @@ class Controller {
     // Does this controller own the control plane? Always, with one domain.
     [[nodiscard]] bool owned() const { return !domain || domain->owned; }
   };
-  struct Metrics;
-
   void handle_backhaul(net::NodeId from, net::BackhaulMessage msg);
   void handle_csi(const net::CsiReport& report);
   void process_csi(const net::CsiReport& report, ClientState& cs);
@@ -412,7 +412,6 @@ class Controller {
   void send_switch(net::ClientId client, const ClientState& cs);
   /// Closes the pending switch (if any) without completing it.
   void end_switch(ClientState& cs);
-  [[nodiscard]] bool dedup_accept(const net::Packet& p);
   /// Inserts a de-dup key; false if it was already present.
   bool dedup_insert(std::uint64_t key);
 
@@ -436,10 +435,9 @@ class Controller {
   [[nodiscard]] std::vector<std::uint32_t> collect_dedup_seed(
       net::ClientId client) const;
   /// Relays `msg` once to the client's believed owner, counting it in
-  /// `stat` and `counter`; counted as misrouted when no alive owner exists.
+  /// `stat`; counted as misrouted when no alive owner exists.
   void relay_to_owner(const DomainClient& dc, net::BackhaulMessage msg,
-                      std::uint64_t& stat, obs::Counter* Metrics::*counter);
-  void count_misrouted();
+                      std::uint64_t& stat);
   void domain_sync_tick();
   [[nodiscard]] net::DomainSync build_domain_sync() const;
   void handle_domain_sync(const net::DomainSync& msg);
@@ -529,45 +527,14 @@ class Controller {
 
   std::vector<SwitchRecord> switch_log_;
   Stats stats_;
+  obs::CounterBinding counters_;  // stats_ fields -> registry counters
 
   struct Metrics {
-    obs::Counter* csi_reports;
-    obs::Counter* selection_evaluations;
-    obs::Counter* switches_initiated;
-    obs::Counter* switches_completed;
-    obs::Counter* stop_retransmissions;
-    obs::Counter* stale_acks_ignored;
-    obs::Counter* downlink_packets;
-    obs::Counter* fanout_copies;
-    obs::Counter* fanout_empty_drops;
-    obs::Counter* uplink_packets;
-    obs::Counter* dedup_hits;    // duplicate found in the table and dropped
-    obs::Counter* dedup_misses;  // new key accepted
     obs::Gauge* dedup_table_size;
     obs::Histogram* switch_time_ms;  // stop sent -> ack received (Table 1)
-    // Liveness instruments; registered (and non-null) only when liveness is
-    // enabled so fault-free snapshots keep the identical key set.
-    obs::Counter* ap_marked_dead = nullptr;
-    obs::Counter* ap_readmitted = nullptr;
-    obs::Counter* forced_failovers = nullptr;
+    // Registered (and non-null) only when liveness is enabled, or in
+    // multi-domain mode, so other snapshots keep the identical key set.
     obs::Histogram* heartbeat_rtt_ms = nullptr;
-    // Multi-domain instruments; registered only in multi-domain mode so
-    // single-domain snapshots keep the identical key set.
-    obs::Counter* handover_requests = nullptr;
-    obs::Counter* handovers_out = nullptr;
-    obs::Counter* handovers_in = nullptr;
-    obs::Counter* handover_retries = nullptr;
-    obs::Counter* handover_aborts = nullptr;
-    obs::Counter* penalty_blocked = nullptr;
-    obs::Counter* csi_forwarded = nullptr;
-    obs::Counter* uplink_fwd = nullptr;
-    obs::Counter* downlink_fwd = nullptr;
-    obs::Counter* switch_acks_fwd = nullptr;
-    obs::Counter* misrouted_dropped = nullptr;
-    obs::Counter* peers_marked_dead = nullptr;
-    obs::Counter* aps_adopted = nullptr;
-    obs::Counter* clients_adopted = nullptr;
-    obs::Counter* ownership_yields = nullptr;
     obs::Histogram* handover_ms = nullptr;
   };
   std::optional<Metrics> metrics_;

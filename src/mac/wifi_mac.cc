@@ -31,26 +31,27 @@ WifiMac::WifiMac(sim::Scheduler& sched, Medium& medium, Rng rng, Config config)
 
 void WifiMac::set_metrics(obs::MetricsRegistry* registry,
                           std::string_view component) {
+  counters_.reset();
   if (registry == nullptr) {
     metrics_.reset();
     return;
   }
   const std::string prefix = std::string(component) + ".";
-  auto counter = [&](std::string_view name) {
-    return &registry->counter(prefix + std::string(name));
+  const auto bind = [&](std::string_view name, const std::uint64_t& field) {
+    counters_.bind(registry->counter(prefix + std::string(name)), field);
   };
+  bind("ampdus_sent", stats_.ampdus_sent);
+  bind("retransmissions", stats_.retransmissions);
+  bind("mpdus_delivered", stats_.mpdus_delivered);
+  bind("mpdus_delivered_via_forwarded_ba",
+       stats_.mpdus_delivered_via_forwarded_ba);
+  bind("mpdus_dropped_retry", stats_.mpdus_dropped_retry);
+  bind("enqueue_drops", stats_.enqueue_drops);
+  bind("ba_timeouts", stats_.ba_timeouts);
+  bind("ba_injected", stats_.ba_injected);
+  bind("ba_heard", stats_.ba_heard);
+  bind("ba_collisions", stats_.ba_collided);
   Metrics m;
-  m.ampdus_sent = counter("ampdus_sent");
-  m.retransmissions = counter("retransmissions");
-  m.mpdus_delivered = counter("mpdus_delivered");
-  m.mpdus_delivered_via_forwarded_ba =
-      counter("mpdus_delivered_via_forwarded_ba");
-  m.mpdus_dropped_retry = counter("mpdus_dropped_retry");
-  m.enqueue_drops = counter("enqueue_drops");
-  m.ba_timeouts = counter("ba_timeouts");
-  m.ba_injected = counter("ba_injected");
-  m.ba_heard = counter("ba_heard");
-  m.ba_collisions = counter("ba_collisions");
   m.ampdu_mpdus =
       &registry->histogram(prefix + "ampdu_mpdus", 0.0, 33.0, 33);
   m.hw_queue_depth =
@@ -98,8 +99,7 @@ bool WifiMac::enqueue(RadioId peer, net::Packet packet,
                       std::optional<std::uint16_t> seq) {
   Peer& p = peer_of(peer);
   if (p.queue.size() >= config_.hw_queue_capacity) {
-    ++p.stats.enqueue_drops;
-    if (metrics_) metrics_->enqueue_drops->inc();
+    ++stats_.enqueue_drops;
     return false;
   }
   TxMpdu t;
@@ -107,7 +107,7 @@ bool WifiMac::enqueue(RadioId peer, net::Packet packet,
   if (!seq) p.seq_counter.next();
   t.mpdu.packet = std::move(packet);
   p.queue.push_back(std::move(t));
-  ++p.stats.mpdus_enqueued;
+  ++stats_.mpdus_enqueued;
   if (metrics_) {
     metrics_->hw_queue_depth->observe(static_cast<double>(p.queue.size()));
   }
@@ -222,8 +222,7 @@ void WifiMac::transmit_data(RadioId peer_id) {
     bytes += sz;
     if (t.ever_sent) {
       ++t.mpdu.retries;
-      ++p.stats.retransmissions;
-      if (metrics_) metrics_->retransmissions->inc();
+      ++stats_.retransmissions;
     }
     t.ever_sent = true;
     df.mpdus.push_back(t.mpdu);
@@ -243,9 +242,8 @@ void WifiMac::transmit_data(RadioId peer_id) {
   outstanding_.mcs = mcs;
   for (const auto& m : df.mpdus) outstanding_.seqs.push_back(m.seq);
 
-  ++p.stats.ampdus_sent;
+  ++stats_.ampdus_sent;
   if (metrics_) {
-    metrics_->ampdus_sent->inc();
     metrics_->ampdu_mpdus->observe(static_cast<double>(df.mpdus.size()));
   }
   if (on_tx_attempt) on_tx_attempt(peer_id, mcs, static_cast<int>(df.mpdus.size()));
@@ -274,13 +272,9 @@ void WifiMac::transmit_mgmt(const MgmtItem& item) {
 void WifiMac::complete_mpdu(Peer& p, RadioId peer_id,
                             std::deque<TxMpdu>::iterator it,
                             bool via_forwarded) {
-  ++p.stats.mpdus_delivered;
-  if (via_forwarded) ++p.stats.mpdus_delivered_via_forwarded_ba;
-  if (metrics_) {
-    metrics_->mpdus_delivered->inc();
-    if (via_forwarded) metrics_->mpdus_delivered_via_forwarded_ba->inc();
-  }
-  p.stats.bytes_delivered += it->mpdu.packet.payload_bytes;
+  ++stats_.mpdus_delivered;
+  if (via_forwarded) ++stats_.mpdus_delivered_via_forwarded_ba;
+  stats_.bytes_delivered += it->mpdu.packet.payload_bytes;
   // Erase before the callback: on_mpdu_acked handlers re-enter (the AP pump
   // enqueues the next packet), which would invalidate `it`.
   Mpdu acked = std::move(it->mpdu);
@@ -327,16 +321,10 @@ void WifiMac::process_ba(RadioId peer_id, const BaBitmap& ba, bool forwarded) {
                    delivered);
     }
     // Unacked MPDUs stay queued; drop those past the retry limit.
-    for (auto it = p.queue.begin(); it != p.queue.end();) {
-      if (it->ever_sent && !ba.acks(it->mpdu.seq) &&
-          it->mpdu.retries >= config_.retry_limit) {
-        ++p.stats.mpdus_dropped_retry;
-        if (metrics_) metrics_->mpdus_dropped_retry->inc();
-        it = p.queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    stats_.mpdus_dropped_retry += std::erase_if(p.queue, [&](const TxMpdu& t) {
+      return t.ever_sent && !ba.acks(t.mpdu.seq) &&
+             t.mpdu.retries >= config_.retry_limit;
+    });
     cw_ = config_.timings.cw_min;
     state_ = TxState::kIdle;
     kick();
@@ -348,8 +336,7 @@ void WifiMac::on_ba_timeout() {
   Peer* pp = peers_.contains(outstanding_.peer) ? &peer_of(outstanding_.peer) : nullptr;
   if (pp != nullptr) {
     Peer& p = *pp;
-    ++p.stats.ba_timeouts;
-    if (metrics_) metrics_->ba_timeouts->inc();
+    ++stats_.ba_timeouts;
     if (p.rc) {
       // MPDUs completed out-of-band (merged BAs) still count as delivered.
       int delivered = 0;
@@ -362,15 +349,9 @@ void WifiMac::on_ba_timeout() {
       p.rc->report(outstanding_.mcs, static_cast<int>(outstanding_.seqs.size()),
                    delivered);
     }
-    for (auto it = p.queue.begin(); it != p.queue.end();) {
-      if (it->ever_sent && it->mpdu.retries >= config_.retry_limit) {
-        ++p.stats.mpdus_dropped_retry;
-        if (metrics_) metrics_->mpdus_dropped_retry->inc();
-        it = p.queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    stats_.mpdus_dropped_retry += std::erase_if(p.queue, [&](const TxMpdu& t) {
+      return t.ever_sent && t.mpdu.retries >= config_.retry_limit;
+    });
   }
   cw_ = std::min(cw_ * 2 + 1, config_.timings.cw_max);
   state_ = TxState::kIdle;
@@ -379,7 +360,7 @@ void WifiMac::on_ba_timeout() {
 
 void WifiMac::inject_block_ack(RadioId client, const BaBitmap& ba) {
   // Out-of-band scoreboard update (ath_tx_complete_aggr path in the paper).
-  if (metrics_) metrics_->ba_injected->inc();
+  ++stats_.ba_injected;
   process_ba(client, ba, /*forwarded=*/true);
   // If we are currently awaiting this client's BA over the air, the live
   // path still runs; the forwarded copy only completes queued MPDUs early.
@@ -450,12 +431,8 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
   }
 
   if (addressed && std::holds_alternative<BlockAckFrame>(frame.body)) {
-    ++ba_heard_;
-    if (ctx.collided) ++ba_collided_;
-    if (metrics_) {
-      metrics_->ba_heard->inc();
-      if (ctx.collided) metrics_->ba_collisions->inc();
-    }
+    ++stats_.ba_heard;
+    if (ctx.collided) ++stats_.ba_collided;
   }
   // A collided frame draws nothing and reaches no handler.
   if (ctx.collided) return;
@@ -477,8 +454,7 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
     if (df->needs_block_ack) {
       const BaBitmap ba =
           BaBitmap::from_decoded(df->mpdus.front().seq, decoded);
-      Peer* p = peers_.contains(frame.from) ? &peer_of(frame.from) : nullptr;
-      if (p != nullptr) ++p->stats.ba_sent;
+      ++stats_.ba_sent;
       send_block_ack(frame.from, ba, frame.tx_uid);
     }
 
@@ -490,18 +466,11 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
       RxDupFilter& filter = config_.shared_rx_scoreboard
                                 ? shared_filter_
                                 : per_sender_filter_[frame.from];
-      // Attribute rx stats to the logical peer: in thin-AP mode data from
-      // any AP belongs to the single BSSID peer.
-      const RadioId stats_peer =
-          config_.shared_rx_scoreboard && peers_.contains(kBssidWgtt)
-              ? kBssidWgtt
-              : frame.from;
-      Peer* p = peers_.contains(stats_peer) ? &peer_of(stats_peer) : nullptr;
       if (filter.accept(m.seq)) {
-        if (p != nullptr) ++p->stats.rx_mpdus_decoded;
+        ++stats_.rx_mpdus_decoded;
         if (on_deliver) on_deliver(frame.from, m.packet);
-      } else if (p != nullptr) {
-        ++p->stats.rx_mpdus_duplicate;
+      } else {
+        ++stats_.rx_mpdus_duplicate;
       }
     }
     return;
@@ -560,32 +529,6 @@ void WifiMac::enable_beacons(Time interval) {
 void WifiMac::send_mgmt(RadioId peer, MgmtFrame frame) {
   mgmt_queue_.push_back(MgmtItem{peer, frame});
   kick();
-}
-
-const WifiMac::PeerStats& WifiMac::stats(RadioId peer) const {
-  static const PeerStats kEmpty{};
-  const Peer* p = find_peer(peer);
-  return p ? p->stats : kEmpty;
-}
-
-WifiMac::PeerStats WifiMac::total_stats() const {
-  PeerStats total;
-  for (const auto& [id, p] : peers_) {
-    total.mpdus_enqueued += p.stats.mpdus_enqueued;
-    total.enqueue_drops += p.stats.enqueue_drops;
-    total.mpdus_delivered += p.stats.mpdus_delivered;
-    total.mpdus_delivered_via_forwarded_ba +=
-        p.stats.mpdus_delivered_via_forwarded_ba;
-    total.mpdus_dropped_retry += p.stats.mpdus_dropped_retry;
-    total.retransmissions += p.stats.retransmissions;
-    total.ampdus_sent += p.stats.ampdus_sent;
-    total.ba_timeouts += p.stats.ba_timeouts;
-    total.bytes_delivered += p.stats.bytes_delivered;
-    total.rx_mpdus_decoded += p.stats.rx_mpdus_decoded;
-    total.rx_mpdus_duplicate += p.stats.rx_mpdus_duplicate;
-    total.ba_sent += p.stats.ba_sent;
-  }
-  return total;
 }
 
 }  // namespace wgtt::mac

@@ -59,7 +59,8 @@ class WifiMac {
     bool accept_bssid = false;
   };
 
-  struct PeerStats {
+  /// Radio-wide counts, over every peer this radio has had.
+  struct Stats {
     std::uint64_t mpdus_enqueued = 0;
     std::uint64_t enqueue_drops = 0;        // hw queue full
     std::uint64_t mpdus_delivered = 0;      // acked by (any) BA
@@ -72,6 +73,12 @@ class WifiMac {
     std::uint64_t rx_mpdus_decoded = 0;
     std::uint64_t rx_mpdus_duplicate = 0;
     std::uint64_t ba_sent = 0;
+    /// Block ACKs learned over the backhaul and merged (§3.2.1).
+    std::uint64_t ba_injected = 0;
+    /// Block-ACK frames addressed to this radio that arrived at all /
+    /// arrived garbled by a collision (the paper's Table 3 numerator).
+    std::uint64_t ba_heard = 0;
+    std::uint64_t ba_collided = 0;
   };
 
   /// Sampler for the channel between this radio and `peer`, at now. Wired
@@ -138,12 +145,7 @@ class WifiMac {
   void send_mgmt(RadioId peer, MgmtFrame frame);
 
   // --- stats ---------------------------------------------------------------
-  [[nodiscard]] const PeerStats& stats(RadioId peer) const;
-  [[nodiscard]] PeerStats total_stats() const;
-  /// Block-ACK frames addressed to this radio that arrived at all /
-  /// arrived garbled by a collision (the paper's Table 3 numerator).
-  [[nodiscard]] std::uint64_t ba_frames_heard() const { return ba_heard_; }
-  [[nodiscard]] std::uint64_t ba_frames_collided() const { return ba_collided_; }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
   /// This radio's random stream (decode draws, backoff, BA jitter); tests
   /// compare streams through it.
   [[nodiscard]] const Rng& rng() const { return rng_; }
@@ -152,7 +154,8 @@ class WifiMac {
   /// retransmissions, BA merges/collisions, hardware-queue depth). The
   /// component prefix separates roles sharing this class — AP radios report
   /// as "mac", client radios as "client_mac" — while radios of the same
-  /// role aggregate into one series. nullptr detaches.
+  /// role aggregate into one series. The counters are bound to stats()
+  /// fields. nullptr detaches, keeping the counts made so far.
   void set_metrics(obs::MetricsRegistry* registry, std::string_view component);
 
   // --- upward callbacks ----------------------------------------------------
@@ -185,7 +188,6 @@ class WifiMac {
     std::deque<TxMpdu> queue;  // seq order; front = window start
     std::unique_ptr<phy::RateController> rc;
     SeqCounter seq_counter;
-    PeerStats stats;
   };
   struct Outstanding {
     std::uint64_t tx_uid = 0;
@@ -262,20 +264,10 @@ class WifiMac {
 
   Time beacon_interval_ = Time::ms(100);
   std::unique_ptr<sim::Timer> beacon_timer_;
-  std::uint64_t ba_heard_ = 0;
-  std::uint64_t ba_collided_ = 0;
+  Stats stats_;
+  obs::CounterBinding counters_;  // stats_ fields -> registry counters
 
   struct Metrics {
-    obs::Counter* ampdus_sent;
-    obs::Counter* retransmissions;
-    obs::Counter* mpdus_delivered;
-    obs::Counter* mpdus_delivered_via_forwarded_ba;
-    obs::Counter* mpdus_dropped_retry;
-    obs::Counter* enqueue_drops;
-    obs::Counter* ba_timeouts;
-    obs::Counter* ba_injected;  // backhaul-forwarded BA merges (§3.2.1)
-    obs::Counter* ba_heard;
-    obs::Counter* ba_collisions;
     obs::Histogram* ampdu_mpdus;     // MPDUs per A-MPDU attempt
     obs::Histogram* hw_queue_depth;  // depth after each enqueue
   };

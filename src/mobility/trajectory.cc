@@ -12,20 +12,11 @@ channel::Vec2 LineDrive::position(Time t) const {
   return {start_x_ + speed_ * elapsed, lane_y_};
 }
 
-double LineDrive::speed_mps(Time t) const {
-  return t < depart_ ? 0.0 : std::abs(speed_);
-}
-
 Time LineDrive::time_at_x(double x) const {
   if (speed_ == 0.0) return Time::max();
   const double dt = (x - start_x_) / speed_;
   if (dt < 0.0) return Time::zero();
   return depart_ + Time::seconds(dt);
-}
-
-std::unique_ptr<LineDrive> drive_mph(double start_x, double lane_y, double mph,
-                                     Time depart) {
-  return std::make_unique<LineDrive>(start_x, lane_y, mph_to_mps(mph), depart);
 }
 
 }  // namespace wgtt::mobility

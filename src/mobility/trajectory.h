@@ -5,8 +5,6 @@
 // (opposite directions).
 #pragma once
 
-#include <memory>
-
 #include "channel/geometry.h"
 #include "util/units.h"
 
@@ -16,7 +14,6 @@ class Trajectory {
  public:
   virtual ~Trajectory() = default;
   [[nodiscard]] virtual channel::Vec2 position(Time t) const = 0;
-  [[nodiscard]] virtual double speed_mps(Time t) const = 0;
 };
 
 /// Parked client (the "static" bars of Figure 13).
@@ -24,7 +21,6 @@ class StaticPosition final : public Trajectory {
  public:
   explicit StaticPosition(channel::Vec2 pos) : pos_(pos) {}
   [[nodiscard]] channel::Vec2 position(Time) const override { return pos_; }
-  [[nodiscard]] double speed_mps(Time) const override { return 0.0; }
 
  private:
   channel::Vec2 pos_;
@@ -39,7 +35,6 @@ class LineDrive final : public Trajectory {
             Time depart = Time::zero());
 
   [[nodiscard]] channel::Vec2 position(Time t) const override;
-  [[nodiscard]] double speed_mps(Time t) const override;
 
   /// Time at which the vehicle crosses road coordinate `x` (for aligning
   /// measurement windows with the AP array).
@@ -51,10 +46,5 @@ class LineDrive final : public Trajectory {
   double speed_;
   Time depart_;
 };
-
-/// Convenience constructor from the paper's mph figures.
-[[nodiscard]] std::unique_ptr<LineDrive> drive_mph(double start_x, double lane_y,
-                                                   double mph,
-                                                   Time depart = Time::zero());
 
 }  // namespace wgtt::mobility

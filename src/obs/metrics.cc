@@ -58,6 +58,29 @@ void json_string(std::ostream& out, std::string_view s) {
 
 }  // namespace
 
+std::uint64_t Counter::value() const {
+  std::uint64_t v = v_.load(std::memory_order_relaxed);
+  for (const Source& s : sources_) v += *s.field - s.base;
+  return v;
+}
+
+void CounterBinding::bind(Counter& counter, const std::uint64_t& field) {
+  counter.sources_.push_back({&field, field});
+  bound_.emplace_back(&counter, &field);
+}
+
+void CounterBinding::reset() {
+  for (const auto& [counter, field] : bound_) {
+    auto& sources = counter->sources_;
+    const auto it = std::find_if(
+        sources.begin(), sources.end(),
+        [field](const Counter::Source& s) { return s.field == field; });
+    counter->inc(*field - it->base);
+    sources.erase(it);
+  }
+  bound_.clear();
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t num_buckets)
     : lo_(lo),
       hi_(hi),

@@ -3,9 +3,15 @@
 // The paper's evaluation is built on tcpdump-grade visibility: switch
 // timing (Table 1), spurious-retransmission counts (Table 3) and per-AP
 // airtime shares are all *measured*. The MetricsRegistry is the in-process
-// equivalent: every component registers its counters under a stable
-// `component.metric` name, increments them on the hot path (relaxed
-// atomics, no locks), and the registry snapshots the whole system as JSON.
+// equivalent: it names every instrument under a stable `component.metric`
+// key and snapshots the whole system as JSON.
+//
+// A component counts each event once, in its own plain `Stats` struct; its
+// set_metrics binds those fields to registry counters (CounterBinding), so
+// a snapshot reads them live and a component that goes away folds its
+// counts into the registry. Gauges and histograms are pushed on the data
+// path, and counts only the registry keeps (profiler totals, merges) use
+// Counter::inc.
 //
 // Naming scheme: `component.metric`, lower_snake_case, with the unit as a
 // suffix where one applies (`controller.switch_time_ms`, `tcp.rtt_ms`).
@@ -22,21 +28,53 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace wgtt::obs {
 
-/// Monotonic event count. Relaxed atomic: single writers are free, and
-/// concurrent writers (a future threaded scheduler) never tear.
+/// Monotonic event count: its own increments plus, for every bound field,
+/// what that field has counted since its bind (see CounterBinding). inc()
+/// is a relaxed atomic, so concurrent writers never tear. Binding, unbinding
+/// and value() must not race each other: they run on the thread that owns
+/// the bound components, or after it has joined.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t value() const;
 
  private:
+  friend class CounterBinding;
+  struct Source {
+    const std::uint64_t* field;
+    std::uint64_t base;  // the field's value when it was bound
+  };
   std::atomic<std::uint64_t> v_{0};
+  std::vector<Source> sources_;
+};
+
+/// Binds components' own event counts (plain `Stats` fields) to registry
+/// counters, so each event is counted once. bind() records the field's
+/// current value as its base: counts made before the bind are excluded.
+/// reset() and the destructor fold each field's count since its bind into
+/// its counter and detach it, so the registry keeps the count after the
+/// component is gone. Two rules follow:
+///  - the registry must outlive every binding into it (declare it before
+///    the components it observes);
+///  - a bound field must not move (the binding is neither copyable nor
+///    movable, and neither is a component that holds one).
+class CounterBinding {
+ public:
+  CounterBinding() = default;
+  CounterBinding(const CounterBinding&) = delete;
+  CounterBinding& operator=(const CounterBinding&) = delete;
+  ~CounterBinding() { reset(); }
+
+  void bind(Counter& counter, const std::uint64_t& field);
+  void reset();
+
+ private:
+  std::vector<std::pair<Counter*, const std::uint64_t*>> bound_;
 };
 
 /// Last-written instantaneous value (queue depth, table occupancy).
@@ -125,9 +163,10 @@ class Histogram {
 };
 
 /// Owns every instrument, keyed by name. Registration takes a mutex (cold
-/// path: components resolve raw pointers once in set_metrics); increments
-/// go straight to the instrument. std::map keeps snapshots sorted, so the
-/// JSON output is byte-for-byte deterministic for a deterministic run.
+/// path: components bind their counters and resolve gauge and histogram
+/// pointers once, in set_metrics); updates go straight to the instrument.
+/// std::map keeps snapshots sorted, so the JSON output is byte-for-byte
+/// deterministic for a deterministic run.
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);

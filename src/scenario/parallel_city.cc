@@ -48,13 +48,14 @@ class StreamScope {
 };
 
 struct Corridor {
-  // Trajectories are declared before the system so they outlive it
-  // (clients hold raw pointers into them).
+  // Trajectories and the registry are declared before the system so they
+  // outlive it (clients hold raw pointers into the trajectories, and the
+  // system's components fold their counters into the registry on teardown).
   std::vector<std::unique_ptr<mobility::Trajectory>> trajectories;
+  std::shared_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<WgttSystem> sys;
   std::vector<transport::UdpSink> down_sinks;  // client-side (downlink mode)
   std::vector<std::unique_ptr<transport::UdpSource>> up_srcs;  // uplink mode
-  std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
 }  // namespace

@@ -576,7 +576,7 @@ InvariantReport WgttSystem::check_invariants(Time stall_bound,
   // equal the snapshot taken at the crash instant.
   for (std::size_t a = 0; a < aps_.size(); ++a) {
     if (!aps_[a]->crashed()) continue;
-    const auto delivered = aps_[a]->mac().total_stats().mpdus_delivered;
+    const auto delivered = aps_[a]->mac().stats().mpdus_delivered;
     if (delivered != aps_[a]->delivered_at_crash()) {
       ++report.dead_ap_deliveries;
       report.violations.push_back(

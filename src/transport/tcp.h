@@ -74,7 +74,8 @@ class TcpSender {
   /// (e.g. a UDP-workload drive).
   static void register_metrics(obs::MetricsRegistry& registry);
   /// Starts recording `tcp.*` metrics for this flow (all flows aggregate
-  /// into the same series). nullptr detaches.
+  /// into the same series); the counters are bound to stats() fields.
+  /// nullptr detaches, keeping the counts made so far.
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
@@ -112,12 +113,9 @@ class TcpSender {
 
   std::uint16_t next_ip_id_ = 1;
   Stats stats_;
+  obs::CounterBinding counters_;  // stats_ fields -> registry counters
 
   struct Metrics {
-    obs::Counter* segments_sent;
-    obs::Counter* retransmissions;
-    obs::Counter* fast_retransmits;
-    obs::Counter* rtos;
     obs::Gauge* cwnd_segments;
     obs::Histogram* rtt_ms;  // per-sample, from the echoed timestamp
   };

@@ -1,6 +1,7 @@
 #include "transport/udp.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace wgtt::transport {
 
@@ -71,7 +72,17 @@ UdpSource::UdpSource(sim::Scheduler& sched, SendFn send, Config config)
     : sched_(sched), send_(std::move(send)), config_(config) {
   const double pps =
       config_.rate_mbps * 1e6 / 8.0 / static_cast<double>(config_.payload_bytes);
-  interval_ = Time::seconds(1.0 / pps);
+  const double interval_s = 1.0 / pps;
+  // Each packet is scheduled one interval after the last, so the interval
+  // must round to at least 1 ns (and fit in a Time): a rate of 0 or less,
+  // or one too high to leave 1 ns between packets, would schedule every
+  // packet at the current instant, and simulated time would stop.
+  if (!(interval_s >= 0.5e-9 && interval_s < Time::max().to_seconds())) {
+    throw std::invalid_argument(
+        "UdpSource: rate_mbps must be positive and leave at least 1 ns "
+        "between packets");
+  }
+  interval_ = Time::seconds(interval_s);
 }
 
 UdpSource::~UdpSource() { stop(); }

@@ -35,9 +35,6 @@ class PingPongDrive final : public mobility::Trajectory {
         phase < 0.5 ? 4.0 * phase - 1.0 : 3.0 - 4.0 * phase;  // [-1, 1]
     return {center_x_ + amp_m_ * tri, lane_y_};
   }
-  [[nodiscard]] double speed_mps(Time) const override {
-    return 4.0 * amp_m_ / (period_.to_millis() / 1e3);
-  }
 
  private:
   double center_x_;

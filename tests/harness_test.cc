@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,34 @@ TEST(TrialPoolTest, MetricsPathIsRedirectedToOneMergedWrite) {
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(buf.str(), pool.merged_metrics()->to_json());
+}
+
+TEST(TrialPoolTest, ThrowingTrialRethrowsAfterOthersFinish) {
+  // The documented contract: a trial that throws does not stop the others,
+  // whose metrics still merge, and run() rethrows after the join.
+  const auto switches = [](const obs::MetricsRegistry& m) {
+    return m.find_counter("controller.switches_completed")->value();
+  };
+  const auto good = [](std::uint64_t seed) {
+    DriveConfig cfg = small_config(seed);
+    cfg.collect_metrics = true;
+    return cfg;
+  };
+  const std::uint64_t alone =
+      switches(*run_drive(good(41)).metrics) +
+      switches(*run_drive(good(42)).metrics);
+  ASSERT_GT(alone, 0u);
+  DriveConfig bad = small_config(43);
+  bad.geometry->num_aps = 0;
+  for (int jobs : {1, 3}) {
+    TrialPool pool(TrialPool::Options{.jobs = jobs});
+    pool.submit(good(41));
+    pool.submit(bad);
+    pool.submit(good(42));
+    EXPECT_THROW(pool.run(), std::invalid_argument) << "jobs " << jobs;
+    ASSERT_NE(pool.merged_metrics(), nullptr) << "jobs " << jobs;
+    EXPECT_EQ(switches(*pool.merged_metrics()), alone) << "jobs " << jobs;
+  }
 }
 
 TEST(TrialPoolTest, MeanOverSeedsMatchesSequentialHelper) {

@@ -147,7 +147,7 @@ TEST(Ablation, BlockAckForwardingReducesRetransmissions) {
     std::uint64_t delivered = 0;
     std::uint64_t via_fwd = 0;
     for (int i = 0; i < sys.num_aps(); ++i) {
-      const auto s = sys.ap(i).mac().total_stats();
+      const auto& s = sys.ap(i).mac().stats();
       retx += s.retransmissions;
       delivered += s.mpdus_delivered;
       via_fwd += s.mpdus_delivered_via_forwarded_ba;

@@ -104,7 +104,7 @@ TEST_P(MacFuzz, ConservationAndNoDuplicates) {
     EXPECT_EQ(delivered_uids.count(uid), 1u) << "duplicate delivery";
   }
   // (2) Conservation: accepted = delivered-or-lost-to-retry + still queued.
-  const auto& st = tx.stats(rx.radio());
+  const auto& st = tx.stats();
   EXPECT_EQ(st.mpdus_enqueued, accepted);
   EXPECT_EQ(st.mpdus_delivered + st.mpdus_dropped_retry +
                 tx.queue_depth(rx.radio()),

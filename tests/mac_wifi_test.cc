@@ -80,8 +80,8 @@ TEST_F(WifiMacTest, DeliversPacketsOverPerfectLink) {
   for (int i = 0; i < 10; ++i) tx.enqueue(rx.radio(), data_packet());
   sched_.run_until(Time::ms(100));
   EXPECT_EQ(delivered.size(), 10u);
-  EXPECT_EQ(tx.stats(rx.radio()).mpdus_delivered, 10u);
-  EXPECT_EQ(tx.stats(rx.radio()).retransmissions, 0u);
+  EXPECT_EQ(tx.stats().mpdus_delivered, 10u);
+  EXPECT_EQ(tx.stats().retransmissions, 0u);
   EXPECT_EQ(tx.queue_depth(rx.radio()), 0u);
 }
 
@@ -139,7 +139,7 @@ TEST_F(WifiMacTest, RetransmitsOnDeadLinkThenDrops) {
   set_snr(tx.radio(), rx.radio(), -20.0);  // dead link
   tx.enqueue(rx.radio(), data_packet());
   sched_.run_until(Time::sec(2));
-  const auto& st = tx.stats(rx.radio());
+  const auto& st = tx.stats();
   EXPECT_EQ(st.mpdus_delivered, 0u);
   EXPECT_EQ(st.mpdus_dropped_retry, 1u);
   EXPECT_GE(st.ba_timeouts, 1u);
@@ -166,7 +166,7 @@ TEST_F(WifiMacTest, DuplicateFilterSuppressesRetransmittedDelivery) {
   sched_.run_until(Time::sec(5));
   EXPECT_LE(delivered, kPackets);
   EXPECT_GT(delivered, kPackets / 2);
-  const auto& st = rx.stats(tx.radio());
+  const auto& st = rx.stats();
   // If any retransmission raced a lost BA, duplicates were filtered.
   EXPECT_EQ(st.rx_mpdus_decoded, static_cast<std::uint64_t>(delivered));
 }
@@ -183,15 +183,15 @@ TEST_F(WifiMacTest, InjectedBlockAckCompletesWithoutRetransmission) {
   tx.enqueue(rx.radio(), data_packet(), 101);
   // Let the first (failing) transmission happen.
   sched_.run_until(Time::ms(20));
-  EXPECT_EQ(tx.stats(rx.radio()).mpdus_delivered, 0u);
+  EXPECT_EQ(tx.stats().mpdus_delivered, 0u);
   // Now a forwarded BA arrives out-of-band claiming both were received.
   BaBitmap ba;
   ba.start_seq = 100;
   ba.set(100);
   ba.set(101);
   tx.inject_block_ack(rx.radio(), ba);
-  EXPECT_EQ(tx.stats(rx.radio()).mpdus_delivered, 2u);
-  EXPECT_EQ(tx.stats(rx.radio()).mpdus_delivered_via_forwarded_ba, 2u);
+  EXPECT_EQ(tx.stats().mpdus_delivered, 2u);
+  EXPECT_EQ(tx.stats().mpdus_delivered_via_forwarded_ba, 2u);
   EXPECT_EQ(tx.queue_depth(rx.radio()), 0u);
 }
 
@@ -224,7 +224,7 @@ TEST_F(WifiMacTest, QueueFullDrops) {
     accepted += tx.enqueue(rx.radio(), data_packet());
   }
   EXPECT_EQ(accepted, 4);
-  EXPECT_EQ(tx.stats(rx.radio()).enqueue_drops, 6u);
+  EXPECT_EQ(tx.stats().enqueue_drops, 6u);
 }
 
 TEST_F(WifiMacTest, BeaconsBroadcastPeriodically) {

@@ -30,6 +30,97 @@ TEST(CounterTest, IncrementAndValue) {
   EXPECT_EQ(c.value(), 42u);
 }
 
+// A CounterBinding reads a component's own Stats field: the counter shows
+// the field's count since the bind, live, and keeps it after the binding
+// goes away.
+TEST(CounterBindingTest, CountsBeforeBindAreExcluded) {
+  Counter c;
+  std::uint64_t field = 5;
+  CounterBinding b;
+  b.bind(c, field);
+  EXPECT_EQ(c.value(), 0u);
+  field += 3;
+  EXPECT_EQ(c.value(), 3u);
+}
+
+TEST(CounterBindingTest, LiveCountsShowInValueJsonAndMerge) {
+  MetricsRegistry r;
+  std::uint64_t field = 0;
+  CounterBinding b;
+  b.bind(r.counter("x.events"), field);
+  field += 7;
+  EXPECT_EQ(r.find_counter("x.events")->value(), 7u);
+  EXPECT_NE(r.to_json().find("\"x.events\": 7"), std::string::npos);
+  MetricsRegistry merged;
+  merged.merge_from(r);
+  EXPECT_EQ(merged.find_counter("x.events")->value(), 7u);
+}
+
+TEST(CounterBindingTest, ResetFoldsAndDetaches) {
+  Counter c;
+  std::uint64_t field = 0;
+  CounterBinding b;
+  b.bind(c, field);
+  field += 4;
+  b.reset();
+  EXPECT_EQ(c.value(), 4u);
+  field += 10;
+  EXPECT_EQ(c.value(), 4u);
+}
+
+TEST(CounterBindingTest, DestructionFolds) {
+  Counter c;
+  std::uint64_t field = 0;
+  {
+    CounterBinding b;
+    b.bind(c, field);
+    field += 6;
+  }
+  EXPECT_EQ(c.value(), 6u);
+  field += 1;
+  EXPECT_EQ(c.value(), 6u);
+}
+
+TEST(CounterBindingTest, TwoBindingsUnderOneNameAggregate) {
+  MetricsRegistry r;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  CounterBinding ba;
+  CounterBinding bb;
+  ba.bind(r.counter("ap.events"), a);
+  bb.bind(r.counter("ap.events"), b);
+  a += 2;
+  b += 3;
+  EXPECT_EQ(r.find_counter("ap.events")->value(), 5u);
+  ba.reset();
+  b += 1;
+  EXPECT_EQ(r.find_counter("ap.events")->value(), 6u);
+}
+
+TEST(CounterBindingTest, IncOnABoundCounterStillAdds) {
+  Counter c;
+  std::uint64_t field = 0;
+  CounterBinding b;
+  b.bind(c, field);
+  field += 2;
+  c.inc(5);
+  EXPECT_EQ(c.value(), 7u);
+}
+
+TEST(CounterBindingTest, RebindIntoSecondRegistryKeepsFirstCount) {
+  MetricsRegistry first;
+  MetricsRegistry second;
+  std::uint64_t field = 0;
+  CounterBinding b;
+  b.bind(first.counter("k"), field);
+  field += 3;
+  b.reset();
+  b.bind(second.counter("k"), field);
+  field += 4;
+  EXPECT_EQ(first.find_counter("k")->value(), 3u);
+  EXPECT_EQ(second.find_counter("k")->value(), 4u);
+}
+
 TEST(GaugeTest, SetOverwrites) {
   Gauge g;
   EXPECT_EQ(g.value(), 0.0);
@@ -363,12 +454,14 @@ TEST(RegistryMergeTest, EmptySourceLeavesSnapshotUnchanged) {
 TEST(MetricsSystemTest, SwitchTimesMatchTracerWithinOneMs) {
   scenario::WgttSystemConfig cfg;
   cfg.geometry.seed = 91;
+  // The registry outlives the system, whose components fold their counts
+  // into it on teardown.
+  MetricsRegistry metrics;
   scenario::WgttSystem system(cfg);
   mobility::LineDrive drive(-10.0, 0.0, mph_to_mps(25.0));
   const int c = system.add_client(&drive);
   system.start();
 
-  MetricsRegistry metrics;
   system.enable_metrics(metrics, Time::ms(100));
   trace::Tracer tracer;
   trace::attach(tracer, system);

@@ -16,7 +16,6 @@ TEST(TrajectoryTest, LineDriveKinematics) {
   mobility::LineDrive d(-20.0, 1.5, 10.0);
   EXPECT_EQ(d.position(Time::zero()), (channel::Vec2{-20.0, 1.5}));
   EXPECT_EQ(d.position(Time::sec(2)), (channel::Vec2{0.0, 1.5}));
-  EXPECT_DOUBLE_EQ(d.speed_mps(Time::sec(1)), 10.0);
   EXPECT_EQ(d.time_at_x(0.0), Time::sec(2));
   EXPECT_EQ(d.time_at_x(30.0), Time::sec(5));
 }
@@ -24,20 +23,13 @@ TEST(TrajectoryTest, LineDriveKinematics) {
 TEST(TrajectoryTest, DelayedDeparture) {
   mobility::LineDrive d(0.0, 0.0, 5.0, Time::sec(10));
   EXPECT_EQ(d.position(Time::sec(5)).x, 0.0);
-  EXPECT_DOUBLE_EQ(d.speed_mps(Time::sec(5)), 0.0);
   EXPECT_EQ(d.position(Time::sec(12)).x, 10.0);
 }
 
 TEST(TrajectoryTest, ReverseDirection) {
   mobility::LineDrive d(60.0, 0.0, -10.0);
   EXPECT_EQ(d.position(Time::sec(1)).x, 50.0);
-  EXPECT_DOUBLE_EQ(d.speed_mps(Time::sec(1)), 10.0);  // magnitude
   EXPECT_EQ(d.time_at_x(40.0), Time::sec(2));
-}
-
-TEST(TrajectoryTest, DriveMphFactory) {
-  auto d = mobility::drive_mph(-20.0, 0.0, 15.0);
-  EXPECT_NEAR(d->speed_mps(Time::sec(1)), mph_to_mps(15.0), 1e-9);
 }
 
 TEST(GeometryTest, ApLayout) {

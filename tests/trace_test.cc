@@ -168,12 +168,12 @@ TEST(TracerAttachTest, CapturesEveryDomainsSwitches) {
 TEST(PostmortemTest, WritesFullBundleOnViolation) {
   scenario::WgttSystemConfig cfg;
   cfg.geometry.seed = 17;
+  obs::MetricsRegistry metrics;  // outlives the system (folds on teardown)
   scenario::WgttSystem system(cfg);
   mobility::LineDrive drive(-10.0, 0.0, mph_to_mps(25.0));
   const int c = system.add_client(&drive);
   system.start();
 
-  obs::MetricsRegistry metrics;
   system.enable_metrics(metrics, Time::ms(100));
   Tracer tracer;
   attach(tracer, system);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "sim/scheduler.h"
 #include "transport/flow_stats.h"
@@ -77,6 +79,22 @@ TEST(UdpSourceTest, PacesAtConfiguredRate) {
   const int at_stop = sent;
   sched.run_until(Time::sec(2));
   EXPECT_EQ(sent, at_stop);
+}
+
+TEST(UdpSourceTest, RejectsRateWithNoPositiveInterval) {
+  // A rate that leaves less than 1 ns between packets (or none at all)
+  // would schedule every packet at t = 0 forever; 1e-15 Mb/s overflows the
+  // interval.
+  sim::Scheduler sched;
+  for (const double rate : {0.0, -1.0, 1e8, 1e-15,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(UdpSource(sched, [](net::Packet) {}, {.rate_mbps = rate}),
+                 std::invalid_argument)
+        << rate;
+  }
+  // 1e6 Mb/s of 1400-byte packets is 11.2 ns apart: slow, but time moves.
+  EXPECT_NO_THROW(UdpSource(sched, [](net::Packet) {}, {.rate_mbps = 1e6}));
 }
 
 TEST(UdpSinkTest, CountsAndDeduplicates) {

@@ -43,10 +43,12 @@
 // §12): contiguous AP stretches, inter-controller handover at the
 // boundaries, and crash failover. 1 (the default) is the single-controller
 // engine, byte-identical to the seed.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "bench/harness.h"
@@ -96,6 +98,12 @@ Options parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A value outside its flag's range fails the run up front, with usage.
+    auto reject = [&](const char* name, const char* need, const char* v) {
+      std::fprintf(stderr, "%s must be %s, got '%s'\n", name, need, v);
+      usage();
+      o.ok = false;
+    };
     if (arg == "--system") {
       const char* v = need_value("--system");
       if (v == nullptr) break;
@@ -125,13 +133,23 @@ Options parse(int argc, char** argv) {
       if (v) o.drive.mph = std::atof(v);
     } else if (arg == "--rate") {
       const char* v = need_value("--rate");
-      if (v) o.drive.udp_rate_mbps = std::atof(v);
+      if (v) {
+        o.drive.udp_rate_mbps = std::atof(v);
+        // A rate of 0 or less would schedule every packet at t = 0.
+        if (!(o.drive.udp_rate_mbps > 0.0) ||
+            !std::isfinite(o.drive.udp_rate_mbps)) {
+          reject("--rate", "positive", v);
+        }
+      }
     } else if (arg == "--clients") {
       const char* v = need_value("--clients");
       if (v) o.drive.num_clients = std::atoi(v);
     } else if (arg == "--aps") {
       const char* v = need_value("--aps");
-      if (v) o.num_aps = std::atoi(v);
+      if (v) {
+        o.num_aps = std::atoi(v);
+        if (o.num_aps < 1) reject("--aps", ">= 1", v);
+      }
     } else if (arg == "--spacing") {
       const char* v = need_value("--spacing");
       if (v) o.spacing = std::atof(v);
@@ -158,10 +176,7 @@ Options parse(int argc, char** argv) {
       if (v) {
         const double rate = std::atof(v);
         if (rate <= 0.0) {
-          std::fprintf(stderr, "--backhaul-rate must be positive, got '%s'\n",
-                       v);
-          usage();
-          o.ok = false;
+          reject("--backhaul-rate", "positive", v);
         } else {
           o.drive.backhaul_link_rate_mbps = rate;
         }
@@ -170,31 +185,19 @@ Options parse(int argc, char** argv) {
       const char* v = need_value("--domains");
       if (v) {
         o.drive.num_domains = std::atoi(v);
-        if (o.drive.num_domains < 1) {
-          std::fprintf(stderr, "--domains must be >= 1, got '%s'\n", v);
-          usage();
-          o.ok = false;
-        }
+        if (o.drive.num_domains < 1) reject("--domains", ">= 1", v);
       }
     } else if (arg == "--parallel-workers") {
       const char* v = need_value("--parallel-workers");
       if (v) {
         o.parallel_workers = std::atoi(v);
-        if (o.parallel_workers < 1) {
-          std::fprintf(stderr, "--parallel-workers must be >= 1, got '%s'\n", v);
-          usage();
-          o.ok = false;
-        }
+        if (o.parallel_workers < 1) reject("--parallel-workers", ">= 1", v);
       }
     } else if (arg == "--corridors") {
       const char* v = need_value("--corridors");
       if (v) {
         o.corridors = std::atoi(v);
-        if (o.corridors < 1) {
-          std::fprintf(stderr, "--corridors must be >= 1, got '%s'\n", v);
-          usage();
-          o.ok = false;
-        }
+        if (o.corridors < 1) reject("--corridors", ">= 1", v);
       }
     } else if (arg == "--backhaul-batching") {
       o.drive.backhaul_batching = true;
@@ -203,10 +206,7 @@ Options parse(int argc, char** argv) {
       if (v) {
         const double ms = std::atof(v);
         if (ms <= 0.0) {
-          std::fprintf(stderr,
-                       "--metrics-interval-ms must be positive, got '%s'\n", v);
-          usage();
-          o.ok = false;
+          reject("--metrics-interval-ms", "positive", v);
         } else {
           o.drive.metrics_interval = Time::millis(ms);
         }
@@ -274,12 +274,8 @@ int run_parallel(const Options& o) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
-  if (o.help) return 0;
-  if (!o.ok) return 1;
+/// Checks the flag combinations, then runs the drive and prints its summary.
+int run(const Options& o) {
   const bool traced = !o.drive.trace_csv_path.empty();
   const bool multichannel = o.drive.channel_reuse > 1;
   if (o.drive.system != System::kWgtt &&
@@ -363,4 +359,20 @@ int main(int argc, char** argv) {
     std::printf("metrics written to %s\n", o.drive.metrics_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options o = parse(argc, argv);
+  if (o.help) return 0;
+  if (!o.ok) return 1;
+  // A configuration the simulator refuses while setting up (a --rate too
+  // high to leave 1 ns between packets, say) fails the run with its reason.
+  try {
+    return run(o);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }
